@@ -7,10 +7,12 @@ use dlpic_core::field_solver::DlFieldSolver;
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::BinningShape;
 use dlpic_core::presets::Scale;
+use dlpic_nn::Precision;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
 use dlpic_pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_poisson(c: &mut Criterion) {
@@ -37,7 +39,7 @@ fn bench_poisson(c: &mut Criterion) {
 fn dl_solver(scale: Scale) -> DlFieldSolver {
     let arch = scale.mlp_arch();
     DlFieldSolver::new(
-        arch.build(1),
+        Arc::new(arch.build(1).freeze(Precision::F32)),
         scale.phase_spec(),
         BinningShape::Ngp,
         NormStats {
@@ -68,7 +70,7 @@ fn bench_inference(c: &mut Criterion) {
     let arch = Scale::Scaled.cnn_arch();
     let spec = Scale::Scaled.phase_spec();
     let mut cnn = DlFieldSolver::new(
-        arch.build(2),
+        Arc::new(arch.build(2).freeze(Precision::F32)),
         spec,
         BinningShape::Ngp,
         NormStats {

@@ -10,6 +10,7 @@ use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
 use dlpic_core::twod::{arch_2d, bin_density, DensityBinning, Dl2DFieldSolver};
 use dlpic_ddecomp::sim::{DistConfig, DistSimulation};
 use dlpic_ddecomp::strategy::{DistFieldStrategy, GatherScatter, ReplicatedDl};
+use dlpic_nn::Precision;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::shape::Shape;
@@ -19,6 +20,7 @@ use dlpic_pic2d::init2d::TwoStream2DInit;
 use dlpic_pic2d::poisson2d::{Poisson2DSolver, SorPoisson2D, SpectralPoisson2D};
 use dlpic_pic2d::simulation2d::{Pic2DConfig, Simulation2D};
 use dlpic_pic2d::solver2d::TraditionalSolver2D;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn tune(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
@@ -92,7 +94,7 @@ fn bench_field_solve_2d(c: &mut Criterion) {
         use dlpic_pic2d::solver2d::FieldSolver2D;
         let arch = arch_2d(&grid, vec![256]);
         let mut solver = Dl2DFieldSolver::new(
-            arch.build(0),
+            Arc::new(arch.build(0).freeze(Precision::F32)),
             DensityBinning::Cic,
             NormStats::identity(),
             "dl-2d",
@@ -142,7 +144,7 @@ fn bench_distributed_step(c: &mut Criterion) {
             output: 64,
         };
         DlFieldSolver::new(
-            arch.build(0),
+            Arc::new(arch.build(0).freeze(Precision::F32)),
             spec,
             BinningShape::Ngp,
             NormStats::identity(),

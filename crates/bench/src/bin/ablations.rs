@@ -39,8 +39,10 @@ use dlpic_nn::loss::Mse;
 use dlpic_nn::optimizer::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig};
+use dlpic_nn::Precision;
 use dlpic_pic::presets::{paper_config, reduced_config};
 use dlpic_pic::simulation::Simulation;
+use std::sync::Arc;
 
 fn parse_args() -> (Scale, Option<String>) {
     let mut scale = Scale::from_env();
@@ -73,11 +75,7 @@ fn parse_args() -> (Scale, Option<String>) {
 }
 
 fn run_dl_pic_momentum_drift(model: &TrainedModel) -> f64 {
-    let solver = model
-        .bundle
-        .clone()
-        .into_solver()
-        .expect("bundle -> solver");
+    let solver = model.bundle.freeze().expect("bundle -> solver").solver();
     let mut sim = Simulation::new(paper_config(0.2, 0.025, 99), Box::new(solver));
     sim.run();
     stats::max_drift(&sim.history().momentum)
@@ -344,7 +342,8 @@ fn ablation_temporal(scale: Scale, out: &mut Vec<String>) {
         let mae = err / (tn * 64) as f64;
 
         // In-loop conservation at the validation parameters.
-        let solver = TemporalDlSolver::new(net, spec, binning, norm, window);
+        let model = Arc::new(net.freeze(Precision::F32));
+        let solver = TemporalDlSolver::new(model, spec, binning, norm, window);
         let mut sim = Simulation::new(paper_config(0.2, 0.025, 99), Box::new(solver));
         sim.run();
         let drift = stats::max_drift(&sim.history().momentum);

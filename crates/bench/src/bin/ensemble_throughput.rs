@@ -184,14 +184,8 @@ fn measure_weights() -> WeightFootprint {
         .expect("start ensemble");
     let (distinct_models, fleet_shared_bytes) = ensemble.weight_footprint();
     let net = Scale::Paper.mlp_arch().build(0xD15E);
-    let single = net
-        .freeze(Precision::F32)
-        .expect("the paper MLP has a frozen form")
-        .weight_bytes();
-    let bf16 = net
-        .freeze(Precision::Bf16)
-        .expect("the paper MLP has a frozen form")
-        .weight_bytes();
+    let single = net.freeze(Precision::F32).weight_bytes();
+    let bf16 = net.freeze(Precision::Bf16).weight_bytes();
     WeightFootprint {
         single_copy_bytes: single,
         fleet_per_copy_bytes: RUNS * single,
@@ -215,12 +209,8 @@ struct Bf16Result {
 fn bench_bf16_kernels(reps: usize) -> (f64, f64) {
     let arch = Scale::Paper.mlp_arch();
     let net = arch.build(0xD15E);
-    let f32_model = net
-        .freeze(Precision::F32)
-        .expect("the paper MLP has a frozen form");
-    let bf16_model = net
-        .freeze(Precision::Bf16)
-        .expect("the paper MLP has a frozen form");
+    let f32_model = net.freeze(Precision::F32);
+    let bf16_model = net.freeze(Precision::Bf16);
     let input = arch.input_len();
     let x = Tensor::new(
         (0..input).map(|i| (i as f32 * 0.013).sin()).collect(),

@@ -78,7 +78,7 @@ fn main() {
     let bundle = get_or_train_mlp(cli.scale, cli.retrain, true);
     let spec = bundle.spec;
     let norm = bundle.norm;
-    let mut solver = bundle.into_solver().expect("bundle -> solver");
+    let mut solver = bundle.freeze().expect("bundle -> solver").solver();
     let mut hist = vec![0.0f32; spec.cells()];
     let t_binning = time_us(
         || bin_phase_space(&particles, &grid, &spec, BinningShape::Ngp, &mut hist),

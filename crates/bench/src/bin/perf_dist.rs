@@ -29,9 +29,11 @@ use dlpic_core::phase_space::BinningShape;
 use dlpic_core::presets::Scale;
 use dlpic_ddecomp::sim::{DistConfig, DistSimulation};
 use dlpic_ddecomp::strategy::{DistFieldStrategy, GatherScatter, ReplicatedDl};
+use dlpic_nn::Precision;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::shape::Shape;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn sizing(scale: Scale) -> (usize, usize) {
@@ -123,7 +125,7 @@ fn main() {
         let bundle = bundle.clone();
         results.push(run(n_ranks, n_part, n_steps, move || {
             Box::new(ReplicatedDl::new(
-                bundle.clone().into_solver().expect("bundle -> solver"),
+                bundle.freeze().expect("bundle -> solver").solver(),
             ))
         }));
     }
@@ -196,7 +198,7 @@ fn main() {
                     output: ncells,
                 };
                 Box::new(ReplicatedDl::new(DlFieldSolver::new(
-                    arch.build(0),
+                    Arc::new(arch.build(0).freeze(Precision::F32)),
                     spec,
                     BinningShape::Ngp,
                     NormStats::identity(),

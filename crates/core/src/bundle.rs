@@ -11,7 +11,7 @@ use crate::field_solver::DlFieldSolver;
 use crate::normalize::NormStats;
 use crate::phase_space::{BinningShape, PhaseGridSpec};
 use bytes::{Buf, BufMut};
-use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
+use dlpic_nn::frozen::{FrozenModel, Precision};
 use dlpic_nn::network::Sequential;
 use dlpic_nn::serialize::{params_from_bytes, params_to_bytes};
 use std::path::Path;
@@ -54,8 +54,6 @@ pub enum BundleError {
     Malformed(&'static str),
     /// The parameter blob does not fit the declared architecture.
     Params(dlpic_nn::serialize::SerializeError),
-    /// The architecture has a layer without a frozen inference form.
-    Freeze(FreezeError),
     /// Filesystem error.
     Io(std::io::Error),
 }
@@ -65,7 +63,6 @@ impl std::fmt::Display for BundleError {
         match self {
             Self::Malformed(what) => write!(f, "malformed model bundle: {what}"),
             Self::Params(e) => write!(f, "parameter restore failed: {e}"),
-            Self::Freeze(e) => write!(f, "bundle cannot be frozen: {e}"),
             Self::Io(e) => write!(f, "bundle I/O failed: {e}"),
         }
     }
@@ -237,41 +234,21 @@ impl ModelBundle {
         Ok(net)
     }
 
-    /// Reconstructs a ready-to-run field solver with its **own** network
-    /// copy, without consuming the bundle (fleets that want one shared
-    /// allocation use [`Self::freeze`] instead).
-    pub fn solver(&self) -> Result<DlFieldSolver, BundleError> {
-        Ok(DlFieldSolver::new(
-            self.build_network()?,
-            self.spec,
-            self.binning,
-            self.norm,
-            self.arch.input_kind(),
-            self.solver_name(),
-        )
-        .with_reference_mass(self.reference_mass))
-    }
-
-    /// Reconstructs a ready-to-run field solver from the bundle.
-    pub fn into_solver(self) -> Result<DlFieldSolver, BundleError> {
-        self.solver()
-    }
-
     /// Snapshots the bundle into an `Arc`-shared [`FrozenBundle`] at the
     /// bundle's `precision`, so any number of fleet members mint solvers
-    /// over one weight allocation. Errs ([`BundleError::Freeze`], naming
-    /// the layer) on architectures without a frozen inference form — the
-    /// CNN — which callers handle by falling back to [`Self::solver`].
+    /// over one weight allocation — `bundle.freeze()?.solver()` is how a
+    /// bundle becomes a field solver. Errs ([`BundleError::Params`]) when
+    /// the parameter blob does not decode into the declared architecture.
     pub fn freeze(&self) -> Result<FrozenBundle, BundleError> {
         let net = self.build_network()?;
-        let model = net.freeze(self.precision).map_err(BundleError::Freeze)?;
         Ok(FrozenBundle {
-            model: Arc::new(model),
+            model: Arc::new(net.freeze(self.precision)),
             spec: self.spec,
             binning: self.binning,
             norm: self.norm,
             reference_mass: self.reference_mass,
             input_kind: self.arch.input_kind(),
+            output_len: self.arch.output_len(),
             name: self.solver_name(),
         })
     }
@@ -289,15 +266,16 @@ pub struct FrozenBundle {
     norm: NormStats,
     reference_mass: f32,
     input_kind: InputKind,
+    output_len: usize,
     name: &'static str,
 }
 
 impl FrozenBundle {
     /// Mints one fleet member over the shared weight allocation. At
-    /// [`Precision::F32`] the member is bit-identical to
-    /// [`ModelBundle::solver`] on the source bundle.
+    /// [`Precision::F32`] the member is bit-identical to the trained
+    /// network's own forward pass.
     pub fn solver(&self) -> DlFieldSolver {
-        DlFieldSolver::shared(
+        DlFieldSolver::new(
             Arc::clone(&self.model),
             self.spec,
             self.binning,
@@ -316,6 +294,11 @@ impl FrozenBundle {
     /// The phase-grid geometry members bin into.
     pub fn spec(&self) -> &PhaseGridSpec {
         &self.spec
+    }
+
+    /// Field cells the model predicts (its output width).
+    pub fn output_len(&self) -> usize {
+        self.output_len
     }
 
     /// The weight storage precision.
@@ -375,11 +358,12 @@ mod tests {
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.01, 1_000, 5).build(&grid);
 
-        let mut s1 = bundle.clone().into_solver().unwrap();
+        let mut s1 = bundle.freeze().unwrap().solver();
         let mut s2 = ModelBundle::decode(&bundle.encode())
             .unwrap()
-            .into_solver()
-            .unwrap();
+            .freeze()
+            .unwrap()
+            .solver();
         let mut e1 = grid.zeros();
         let mut e2 = grid.zeros();
         s1.solve(&p, &grid, &mut e1);
@@ -430,22 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn frozen_bundle_members_share_weights_and_match_owned_solver() {
+    fn frozen_bundle_members_share_weights() {
         let bundle = tiny_bundle();
         let frozen = bundle.freeze().unwrap();
         let grid = Grid1D::paper();
         let p = TwoStreamInit::random(0.2, 0.01, 1_000, 6).build(&grid);
 
-        let mut owned = bundle.solver().unwrap();
         let mut m1 = frozen.solver();
         let mut m2 = frozen.clone().solver();
-        let mut e0 = grid.zeros();
         let mut e1 = grid.zeros();
         let mut e2 = grid.zeros();
-        owned.solve(&p, &grid, &mut e0);
         m1.solve(&p, &grid, &mut e1);
         m2.solve(&p, &grid, &mut e2);
-        assert_eq!(e0, e1);
         assert_eq!(e1, e2);
 
         let (id1, bytes) = m1.weight_storage().unwrap();
@@ -457,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn cnn_bundles_refuse_to_freeze_with_a_named_error() {
+    fn cnn_bundles_freeze_into_shared_solvers() {
         let spec = PhaseGridSpec::new(16, 16, -0.8, 0.8);
         let arch = ArchSpec::Cnn {
             nv: 16,
@@ -475,12 +455,19 @@ mod tests {
             BinningShape::Cic,
             NormStats::identity(),
         );
-        match bundle.freeze() {
-            Err(BundleError::Freeze(e)) => assert!(e.to_string().contains("conv2d"), "{e}"),
-            other => panic!("expected a freeze error, got {other:?}"),
-        }
-        // The owned fallback still works.
-        assert!(bundle.solver().is_ok());
+        let frozen = bundle.freeze().unwrap();
+        assert_eq!(frozen.weight_bytes(), net.param_count() * 4);
+        let (a, _) = frozen.solver().weight_storage().unwrap();
+        let (b, _) = frozen.solver().weight_storage().unwrap();
+        assert_eq!(a, b);
+        assert_eq!(frozen.solver().name(), "dl-cnn");
+    }
+
+    #[test]
+    fn undecodable_params_fail_to_freeze() {
+        let mut bundle = tiny_bundle();
+        bundle.params.truncate(bundle.params.len() / 2);
+        assert!(matches!(bundle.freeze(), Err(BundleError::Params(_))));
     }
 
     #[test]

@@ -10,57 +10,26 @@
 //! 2. normalizes it with the *training-set* min/max (paper Eq. 5),
 //! 3. runs one network inference,
 //! 4. writes the predicted electric field onto the grid nodes.
+//!
+//! The network runs as an `Arc`-shared [`FrozenModel`] — the one
+//! inference path for both of the paper's architectures (MLP and CNN) —
+//! so every solver minted from one model reads the same weights, and at
+//! f32 the result is bit-identical to the trained `Sequential`'s own
+//! forward pass.
 
 use crate::builder::InputKind;
 use crate::normalize::NormStats;
 use crate::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
-use dlpic_nn::frozen::FrozenModel;
-use dlpic_nn::network::{PredictWorkspace, Sequential};
+use dlpic_nn::frozen::{FrozenModel, PredictWorkspace};
 use dlpic_nn::tensor::Tensor;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::particles::Particles;
 use dlpic_pic::solver::{FieldSolver, PhasedFieldSolver};
 use std::sync::Arc;
 
-/// How a DL solver executes its network: an owned, per-solver
-/// [`Sequential`] (training output, CNN fallback) or an `Arc`-shared
-/// immutable [`FrozenModel`] so whole fleets read one weight allocation.
-/// At f32 the two paths run the same row-stable kernels and are
-/// bit-identical.
-pub(crate) enum NetExec {
-    /// A private network copy (mutable; the historical path).
-    Owned(Sequential),
-    /// A shared frozen snapshot (read-only; `Arc` clones are cheap).
-    Shared(Arc<FrozenModel>),
-}
-
-impl NetExec {
-    pub(crate) fn predict_batch_into<'w>(
-        &mut self,
-        input: &Tensor,
-        workspace: &'w mut PredictWorkspace,
-    ) -> &'w Tensor {
-        match self {
-            Self::Owned(net) => net.predict_batch_into(input, workspace),
-            Self::Shared(model) => model.predict_batch_into(input, workspace),
-        }
-    }
-
-    /// `(id, bytes)` of the weight allocation: shared solvers report the
-    /// `Arc` pointer (equal across all sharers) and the frozen model's
-    /// actual storage; owned solvers report their own address (never
-    /// deduplicated) and the f32 parameter footprint.
-    pub(crate) fn weight_storage(&self) -> (usize, usize) {
-        match self {
-            Self::Owned(net) => (self as *const Self as usize, net.param_count() * 4),
-            Self::Shared(model) => (Arc::as_ptr(model) as usize, model.weight_bytes()),
-        }
-    }
-}
-
 /// A neural-network-backed electric-field solver.
 pub struct DlFieldSolver {
-    net: NetExec,
+    model: Arc<FrozenModel>,
     spec: PhaseGridSpec,
     binning: BinningShape,
     norm: NormStats,
@@ -79,27 +48,14 @@ pub struct DlFieldSolver {
 }
 
 impl DlFieldSolver {
-    /// Wraps a trained network.
+    /// Wraps an `Arc`-shared frozen model (see
+    /// [`dlpic_nn::Sequential::freeze`]): N solvers over one `Arc` read
+    /// **one** weight allocation, so a fleet pays for the weights once.
     ///
     /// `norm` must be the statistics of the network's *training* inputs;
     /// `input_kind` must match the architecture (flat for MLP, image for
     /// CNN).
     pub fn new(
-        net: Sequential,
-        spec: PhaseGridSpec,
-        binning: BinningShape,
-        norm: NormStats,
-        input_kind: InputKind,
-        name: &'static str,
-    ) -> Self {
-        Self::with_exec(NetExec::Owned(net), spec, binning, norm, input_kind, name)
-    }
-
-    /// Wraps an `Arc`-shared frozen model: the fleet path, where N
-    /// sessions hold N of these solvers over **one** weight allocation.
-    /// At [`dlpic_nn::Precision::F32`] this is bit-identical to
-    /// [`Self::new`] on the network the model was frozen from.
-    pub fn shared(
         model: Arc<FrozenModel>,
         spec: PhaseGridSpec,
         binning: BinningShape,
@@ -107,34 +63,15 @@ impl DlFieldSolver {
         input_kind: InputKind,
         name: &'static str,
     ) -> Self {
-        Self::with_exec(
-            NetExec::Shared(model),
-            spec,
-            binning,
-            norm,
-            input_kind,
-            name,
-        )
-    }
-
-    fn with_exec(
-        net: NetExec,
-        spec: PhaseGridSpec,
-        binning: BinningShape,
-        norm: NormStats,
-        input_kind: InputKind,
-        name: &'static str,
-    ) -> Self {
-        let scratch = vec![0.0f32; spec.cells()];
         Self {
-            net,
+            model,
             spec,
             binning,
             norm,
             input_kind,
             name,
             reference_mass: 0.0,
-            scratch,
+            scratch: vec![0.0f32; spec.cells()],
             out_scratch: Vec::new(),
             input: Tensor::zeros(&[0]),
             workspace: PredictWorkspace::new(),
@@ -161,34 +98,6 @@ impl DlFieldSolver {
     /// The binning order used for the phase-space histogram.
     pub fn binning(&self) -> BinningShape {
         self.binning
-    }
-
-    /// Immutable access to the wrapped network, when this solver owns a
-    /// private copy (`None` on the `Arc`-shared frozen path).
-    pub fn network(&self) -> Option<&Sequential> {
-        match &self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
-    /// Mutable access to the owned network (parameter serialization and
-    /// benchmark reuse); `None` on the shared frozen path, whose weights
-    /// are immutable by construction.
-    pub fn network_mut(&mut self) -> Option<&mut Sequential> {
-        match &mut self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
-    /// The shared frozen model, when this solver runs on one (`None` on
-    /// the owned path).
-    pub fn frozen(&self) -> Option<&Arc<FrozenModel>> {
-        match &self.net {
-            NetExec::Owned(_) => None,
-            NetExec::Shared(model) => Some(model),
-        }
     }
 
     /// Completes a solve from a *raw* (unnormalized) histogram binned
@@ -232,8 +141,8 @@ impl DlFieldSolver {
             "histogram size mismatch"
         );
         self.stage_input(histogram, 1);
-        self.net
-            .predict_batch_into(&self.input, &mut self.workspace)
+        self.model
+            .predict_into(&self.input, &mut self.workspace)
             .data()
             .to_vec()
     }
@@ -289,7 +198,8 @@ impl FieldSolver for DlFieldSolver {
     }
 
     fn weight_storage(&self) -> Option<(usize, usize)> {
-        Some(self.net.weight_storage())
+        // Every sharer of one `Arc` reports the same id.
+        Some((Arc::as_ptr(&self.model) as usize, self.model.weight_bytes()))
     }
 }
 
@@ -326,9 +236,7 @@ impl PhasedFieldSolver for DlFieldSolver {
         // 3. One batched inference through the reusable input/activation
         // buffers (ping-pong workspace; allocation-free once warm).
         self.stage_input(input, rows);
-        let pred = self
-            .net
-            .predict_batch_into(&self.input, &mut self.workspace);
+        let pred = self.model.predict_into(&self.input, &mut self.workspace);
         assert_eq!(
             pred.len(),
             output.len(),
@@ -359,8 +267,25 @@ impl PhasedFieldSolver for DlFieldSolver {
 mod tests {
     use super::*;
     use crate::builder::ArchSpec;
+    use dlpic_nn::frozen::Precision;
     use dlpic_pic::init::TwoStreamInit;
     use dlpic_pic::simulation::{two_stream_config, Simulation};
+
+    fn solver_for(
+        arch: &ArchSpec,
+        seed: u64,
+        spec: PhaseGridSpec,
+        name: &'static str,
+    ) -> DlFieldSolver {
+        DlFieldSolver::new(
+            Arc::new(arch.build(seed).freeze(Precision::F32)),
+            spec,
+            BinningShape::Ngp,
+            NormStats::identity(),
+            arch.input_kind(),
+            name,
+        )
+    }
 
     fn tiny_solver() -> DlFieldSolver {
         let spec = PhaseGridSpec::smoke();
@@ -369,14 +294,7 @@ mod tests {
             hidden: vec![8],
             output: 64,
         };
-        DlFieldSolver::new(
-            arch.build(0),
-            spec,
-            BinningShape::Ngp,
-            NormStats::identity(),
-            arch.input_kind(),
-            "dl-mlp",
-        )
+        solver_for(&arch, 0, spec, "dl-mlp")
     }
 
     #[test]
@@ -412,69 +330,65 @@ mod tests {
             hidden: vec![16],
             output: 64,
         };
-        let mut solver = DlFieldSolver::new(
-            arch.build(1),
-            spec,
-            BinningShape::Cic,
-            NormStats::identity(),
-            arch.input_kind(),
-            "dl-cnn",
-        );
-        let hist = vec![0.5f32; spec.cells()];
+        let mut net = arch.build(1);
+        let mut solver = solver_for(&arch, 1, spec, "dl-cnn");
+        let hist: Vec<f32> = (0..spec.cells()).map(|i| (i as f32 * 0.37).sin()).collect();
         let out = solver.predict_from_histogram(&hist);
+        let expect = net.predict(&Tensor::new(hist, &[1, 1, 16, 16]));
         assert_eq!(out.len(), 64);
+        for (a, b) in out.iter().zip(expect.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
-    fn shared_frozen_solver_is_bit_identical_to_owned() {
-        use dlpic_nn::frozen::Precision;
+    fn shared_solvers_are_bit_identical_to_sequential_predict() {
         let grid = Grid1D::paper();
+        let spec = PhaseGridSpec::smoke();
         let p = TwoStreamInit::random(0.2, 0.01, 2_000, 9).build(&grid);
         let arch = ArchSpec::Mlp {
-            input: PhaseGridSpec::smoke().cells(),
+            input: spec.cells(),
             hidden: vec![8],
             output: 64,
         };
-        let model = Arc::new(arch.build(4).freeze(Precision::F32).unwrap());
-        let mk_shared = |m: Arc<dlpic_nn::FrozenModel>| {
-            DlFieldSolver::shared(
+        let mut net = arch.build(4);
+        let model = Arc::new(net.freeze(Precision::F32));
+        let mk = |m: Arc<FrozenModel>| {
+            DlFieldSolver::new(
                 m,
-                PhaseGridSpec::smoke(),
+                spec,
                 BinningShape::Cic,
                 NormStats::identity(),
                 arch.input_kind(),
                 "dl-mlp",
             )
         };
-        let mut owned = DlFieldSolver::new(
-            arch.build(4),
-            PhaseGridSpec::smoke(),
-            BinningShape::Cic,
-            NormStats::identity(),
-            arch.input_kind(),
-            "dl-mlp",
-        );
-        let mut s1 = mk_shared(Arc::clone(&model));
-        let mut s2 = mk_shared(model);
+        let mut s1 = mk(Arc::clone(&model));
+        let mut s2 = mk(model);
 
-        let mut e_owned = grid.zeros();
         let mut e1 = grid.zeros();
         let mut e2 = grid.zeros();
-        FieldSolver::solve(&mut owned, &p, &grid, &mut e_owned);
         FieldSolver::solve(&mut s1, &p, &grid, &mut e1);
         FieldSolver::solve(&mut s2, &p, &grid, &mut e2);
-        assert_eq!(e_owned, e1);
+        // The reference: bin, then the trained network's own forward.
+        let mut hist = vec![0.0f32; spec.cells()];
+        bin_phase_space(&p, &grid, &spec, BinningShape::Cic, &mut hist);
+        NormStats::identity().apply(&mut hist);
+        let expect: Vec<f64> = net
+            .predict(&Tensor::new(hist, &[1, spec.cells()]))
+            .data()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        assert_eq!(e1, expect);
         assert_eq!(e1, e2);
 
-        // Sharers report one weight allocation; the owned copy its own.
+        // Sharers report one weight allocation of the model's size.
         let (id1, b1) = FieldSolver::weight_storage(&s1).unwrap();
         let (id2, b2) = FieldSolver::weight_storage(&s2).unwrap();
-        let (id0, _) = FieldSolver::weight_storage(&owned).unwrap();
         assert_eq!(id1, id2);
         assert_eq!(b1, b2);
-        assert_ne!(id0, id1);
-        assert!(owned.network().is_some() && owned.frozen().is_none());
-        assert!(s1.network().is_none() && s1.frozen().is_some());
+        assert_eq!(b1, net.param_count() * 4);
     }
 
     #[test]
@@ -486,14 +400,7 @@ mod tests {
             hidden: vec![4],
             output: 32,
         };
-        let mut solver = DlFieldSolver::new(
-            arch.build(0),
-            spec,
-            BinningShape::Ngp,
-            NormStats::identity(),
-            arch.input_kind(),
-            "dl-mlp",
-        );
+        let mut solver = solver_for(&arch, 0, spec, "dl-mlp");
         let grid = Grid1D::paper(); // 64 cells ≠ 32 outputs
         let p = TwoStreamInit::random(0.2, 0.0, 100, 0).build(&grid);
         let mut e = grid.zeros();

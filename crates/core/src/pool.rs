@@ -1,9 +1,9 @@
 //! A small scoped thread pool for fleet workloads.
 //!
-//! The workspace's `rayon` is an offline sequential shim (the build
-//! environment has no crates.io access), so multi-core execution goes
-//! through this module instead: plain `std::thread::scope` workers over
-//! **contiguous chunks** of a work list. The partition is deterministic —
+//! This is the workspace's one threading facility: plain
+//! `std::thread::scope` workers over **contiguous chunks** of a work
+//! list. Kernels below it (deposit, gather, push, GEMM) are sequential;
+//! parallelism is across independent sessions. The partition is deterministic —
 //! item `i` always lands in chunk `i / ceil(len / threads)` — which is
 //! what gives the engine's ensemble scheduler per-session determinism:
 //! a session is driven by exactly one worker, and regrouping sessions

@@ -12,12 +12,13 @@
 
 use crate::normalize::NormStats;
 use crate::phase_space::{bin_phase_space, BinningShape, PhaseGridSpec};
-use dlpic_nn::network::Sequential;
+use dlpic_nn::frozen::{FrozenModel, PredictWorkspace};
 use dlpic_nn::tensor::Tensor;
 use dlpic_pic::grid::Grid1D;
 use dlpic_pic::particles::Particles;
 use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::{FieldSolver, TraditionalSolver};
+use std::sync::Arc;
 
 /// Harvested time-ordered samples of one traditional run: consecutive
 /// (histogram, E-field) pairs, kept in step order so windows can be built.
@@ -91,7 +92,7 @@ pub fn windowed_pairs(traces: &[TemporalTrace], window: usize) -> (Vec<f32>, Vec
 /// (ring-buffered across calls). With `window = 1` it behaves exactly
 /// like [`crate::field_solver::DlFieldSolver`] with flat input.
 pub struct TemporalDlSolver {
-    net: Sequential,
+    model: Arc<FrozenModel>,
     spec: PhaseGridSpec,
     binning: BinningShape,
     norm: NormStats,
@@ -99,16 +100,17 @@ pub struct TemporalDlSolver {
     /// Most recent histograms, oldest first; shorter than `window` until
     /// warmed up.
     history: Vec<Vec<f32>>,
-    scratch: Vec<f32>,
+    input: Tensor,
+    workspace: PredictWorkspace,
 }
 
 impl TemporalDlSolver {
-    /// Wraps a trained network expecting `window · spec.cells()` inputs.
+    /// Wraps a frozen network expecting `window · spec.cells()` inputs.
     ///
     /// # Panics
     /// Panics for a zero window.
     pub fn new(
-        net: Sequential,
+        model: Arc<FrozenModel>,
         spec: PhaseGridSpec,
         binning: BinningShape,
         norm: NormStats,
@@ -116,13 +118,14 @@ impl TemporalDlSolver {
     ) -> Self {
         assert!(window > 0, "window must be at least 1");
         Self {
-            net,
+            model,
             spec,
             binning,
             norm,
             window,
             history: Vec::new(),
-            scratch: Vec::new(),
+            input: Tensor::zeros(&[0]),
+            workspace: PredictWorkspace::new(),
         }
     }
 
@@ -149,20 +152,17 @@ impl FieldSolver for TemporalDlSolver {
 
         // Until warmed up, pad by repeating the oldest available step —
         // the same convention a deployed solver must adopt at t = 0.
-        self.scratch.clear();
+        self.input.resize_in_place(&[1, self.window * cells]);
         let missing = self.window - self.history.len();
-        for _ in 0..missing {
-            self.scratch.extend_from_slice(&self.history[0]);
+        let rows = std::iter::repeat_n(&self.history[0], missing).chain(&self.history);
+        for (dst, h) in self.input.data_mut().chunks_exact_mut(cells).zip(rows) {
+            dst.copy_from_slice(h);
         }
-        for h in &self.history {
-            self.scratch.extend_from_slice(h);
-        }
-        self.norm.apply(&mut self.scratch);
+        self.norm.apply(self.input.data_mut());
 
-        let input = Tensor::new(self.scratch.clone(), &[1, self.window * cells]);
-        let pred = self.net.predict(&input).into_data();
+        let pred = self.model.predict_into(&self.input, &mut self.workspace);
         assert_eq!(pred.len(), e.len(), "output width mismatch");
-        for (dst, &src) in e.iter_mut().zip(&pred) {
+        for (dst, &src) in e.iter_mut().zip(pred.data()) {
             *dst = src as f64;
         }
     }
@@ -176,6 +176,7 @@ impl FieldSolver for TemporalDlSolver {
 mod tests {
     use super::*;
     use crate::builder::ArchSpec;
+    use dlpic_nn::frozen::Precision;
     use dlpic_pic::init::TwoStreamInit;
     use dlpic_pic::shape::Shape;
 
@@ -245,7 +246,7 @@ mod tests {
             output: 64,
         };
         let solver = TemporalDlSolver::new(
-            arch.build(0),
+            Arc::new(arch.build(0).freeze(Precision::F32)),
             spec,
             BinningShape::Ngp,
             NormStats::identity(),
@@ -267,7 +268,7 @@ mod tests {
             output: 64,
         };
         let _ = TemporalDlSolver::new(
-            arch.build(0),
+            Arc::new(arch.build(0).freeze(Precision::F32)),
             spec,
             BinningShape::Ngp,
             NormStats::identity(),

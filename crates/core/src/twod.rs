@@ -21,12 +21,11 @@
 //! [`FieldSolver2D`].
 
 use crate::builder::ArchSpec;
-use crate::field_solver::NetExec;
 use crate::normalize::NormStats;
 use dlpic_nn::data::Dataset;
-use dlpic_nn::frozen::{FreezeError, FrozenModel, Precision};
+use dlpic_nn::frozen::{FrozenModel, Precision, PredictWorkspace};
 use dlpic_nn::loss::Mse;
-use dlpic_nn::network::{PredictWorkspace, Sequential};
+use dlpic_nn::network::Sequential;
 use dlpic_nn::optimizer::adam::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig, TrainHistory};
@@ -191,16 +190,17 @@ impl Default for Train2DConfig {
     }
 }
 
-/// Trains a 2-D DL field solver on harvested samples.
+/// Trains the 2-D MLP on harvested samples, returning the trained
+/// network and its training-input normalization statistics (the
+/// serializable form; [`train_2d_solver`] freezes it into a solver).
 ///
 /// # Panics
 /// Panics on an empty sample list.
-pub fn train_2d_solver(
+pub fn train_2d_network(
     grid: &Grid2D,
     samples: &[Sample2D],
-    binning: DensityBinning,
     cfg: &Train2DConfig,
-) -> (Dl2DFieldSolver, TrainHistory) {
+) -> (Sequential, NormStats, TrainHistory) {
     let (dataset, norm) = build_dataset_2d(samples);
     let arch = arch_2d(grid, cfg.hidden.clone());
     let mut net = arch.build(cfg.seed);
@@ -212,10 +212,30 @@ pub fn train_2d_solver(
         log_every: 0,
     };
     let history = train(&mut net, &Mse, &mut opt, &dataset, None, &tc);
+    (net, norm, history)
+}
+
+/// Trains a 2-D DL field solver on harvested samples.
+///
+/// # Panics
+/// Panics on an empty sample list.
+pub fn train_2d_solver(
+    grid: &Grid2D,
+    samples: &[Sample2D],
+    binning: DensityBinning,
+    cfg: &Train2DConfig,
+) -> (Dl2DFieldSolver, TrainHistory) {
+    let (net, norm, history) = train_2d_network(grid, samples, cfg);
     let reference_mass: f32 = samples[0].hist.iter().sum();
-    let solver =
-        Dl2DFieldSolver::new(net, binning, norm, "dl-2d-mlp").with_reference_mass(reference_mass);
-    (solver, history)
+    let model = Frozen2DModel::from_network(
+        &net,
+        binning,
+        norm,
+        reference_mass,
+        "dl-2d-mlp",
+        Precision::F32,
+    );
+    (model.solver(), history)
 }
 
 /// A frozen, `Arc`-shareable snapshot of a trained 2-D solver: the
@@ -240,21 +260,21 @@ impl Frozen2DModel {
         reference_mass: f32,
         name: &'static str,
         precision: Precision,
-    ) -> Result<Self, FreezeError> {
-        Ok(Self {
-            model: Arc::new(net.freeze(precision)?),
+    ) -> Self {
+        Self {
+            model: Arc::new(net.freeze(precision)),
             binning,
             norm,
             reference_mass,
             name,
-        })
+        }
     }
 
     /// Mints one fleet member over the shared weight allocation. At
     /// [`Precision::F32`] the member is bit-identical to the solver the
     /// model was frozen from.
     pub fn solver(&self) -> Dl2DFieldSolver {
-        Dl2DFieldSolver::shared(Arc::clone(&self.model), self.binning, self.norm, self.name)
+        Dl2DFieldSolver::new(Arc::clone(&self.model), self.binning, self.norm, self.name)
             .with_reference_mass(self.reference_mass)
     }
 
@@ -272,7 +292,7 @@ impl Frozen2DModel {
 /// A neural-network-backed 2-D field solver (density histogram in,
 /// `[Ex | Ey]` out), pluggable into [`Simulation2D`].
 pub struct Dl2DFieldSolver {
-    net: NetExec,
+    model: Arc<FrozenModel>,
     binning: DensityBinning,
     norm: NormStats,
     name: &'static str,
@@ -288,35 +308,16 @@ pub struct Dl2DFieldSolver {
 }
 
 impl Dl2DFieldSolver {
-    /// Wraps a trained network. `norm` must be the training-input
-    /// statistics.
-    pub fn new(
-        net: Sequential,
-        binning: DensityBinning,
-        norm: NormStats,
-        name: &'static str,
-    ) -> Self {
-        Self::with_exec(NetExec::Owned(net), binning, norm, name)
-    }
-
     /// Wraps an `Arc`-shared frozen model (see [`Frozen2DModel`]).
-    pub fn shared(
+    /// `norm` must be the training-input statistics.
+    pub fn new(
         model: Arc<FrozenModel>,
         binning: DensityBinning,
         norm: NormStats,
         name: &'static str,
     ) -> Self {
-        Self::with_exec(NetExec::Shared(model), binning, norm, name)
-    }
-
-    fn with_exec(
-        net: NetExec,
-        binning: DensityBinning,
-        norm: NormStats,
-        name: &'static str,
-    ) -> Self {
         Self {
-            net,
+            model,
             binning,
             norm,
             name,
@@ -337,55 +338,6 @@ impl Dl2DFieldSolver {
         self
     }
 
-    /// Immutable access to the wrapped network, when this solver owns a
-    /// private copy (`None` on the `Arc`-shared frozen path).
-    pub fn network(&self) -> Option<&Sequential> {
-        match &self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
-    /// Mutable access to the owned network (parameter serialization and
-    /// benchmark reuse); `None` on the shared frozen path.
-    pub fn network_mut(&mut self) -> Option<&mut Sequential> {
-        match &mut self.net {
-            NetExec::Owned(net) => Some(net),
-            NetExec::Shared(_) => None,
-        }
-    }
-
-    /// The shared frozen model, when this solver runs on one.
-    pub fn frozen(&self) -> Option<&Arc<FrozenModel>> {
-        match &self.net {
-            NetExec::Owned(_) => None,
-            NetExec::Shared(model) => Some(model),
-        }
-    }
-
-    /// Freezes this solver's network into a shareable [`Frozen2DModel`].
-    /// On the shared path the existing allocation is re-shared (its
-    /// stored precision wins — re-quantizing without the f32 source is
-    /// impossible).
-    pub fn freeze(&self, precision: Precision) -> Result<Frozen2DModel, FreezeError> {
-        let model = match &self.net {
-            NetExec::Owned(net) => Arc::new(net.freeze(precision)?),
-            NetExec::Shared(model) => Arc::clone(model),
-        };
-        Ok(Frozen2DModel {
-            model,
-            binning: self.binning,
-            norm: self.norm,
-            reference_mass: self.reference_mass,
-            name: self.name,
-        })
-    }
-
-    /// The training-input normalization statistics.
-    pub fn norm(&self) -> NormStats {
-        self.norm
-    }
-
     /// The training histograms' total mass (0 = unknown).
     pub fn reference_mass(&self) -> f32 {
         self.reference_mass
@@ -396,8 +348,8 @@ impl Dl2DFieldSolver {
     pub fn predict_from_histogram(&mut self, histogram: &[f32]) -> Vec<f32> {
         self.input.resize_in_place(&[1, histogram.len()]);
         self.input.data_mut().copy_from_slice(histogram);
-        self.net
-            .predict_batch_into(&self.input, &mut self.workspace)
+        self.model
+            .predict_into(&self.input, &mut self.workspace)
             .data()
             .to_vec()
     }
@@ -437,7 +389,8 @@ impl FieldSolver2D for Dl2DFieldSolver {
     }
 
     fn weight_storage(&self) -> Option<(usize, usize)> {
-        Some(self.net.weight_storage())
+        // Every sharer of one `Arc` reports the same id.
+        Some((Arc::as_ptr(&self.model) as usize, self.model.weight_bytes()))
     }
 }
 
@@ -477,9 +430,7 @@ impl PhasedFieldSolver2D for Dl2DFieldSolver {
         assert_eq!(input.len() % rows, 0, "batch input size");
         self.input.resize_in_place(&[rows, input.len() / rows]);
         self.input.data_mut().copy_from_slice(input);
-        let pred = self
-            .net
-            .predict_batch_into(&self.input, &mut self.workspace);
+        let pred = self.model.predict_into(&self.input, &mut self.workspace);
         assert_eq!(
             pred.len(),
             output.len(),
@@ -517,6 +468,16 @@ mod tests {
 
     fn tiny_grid() -> Grid2D {
         Grid2D::new(8, 8, 2.0532, 2.0532)
+    }
+
+    fn untrained_solver(grid: &Grid2D, seed: u64) -> Dl2DFieldSolver {
+        let net = arch_2d(grid, vec![16]).build(seed);
+        Dl2DFieldSolver::new(
+            Arc::new(net.freeze(Precision::F32)),
+            DensityBinning::Ngp,
+            NormStats::identity(),
+            "dl-2d",
+        )
     }
 
     #[test]
@@ -593,13 +554,7 @@ mod tests {
     #[test]
     fn untrained_solver_writes_finite_fields() {
         let grid = tiny_grid();
-        let arch = arch_2d(&grid, vec![16]);
-        let mut solver = Dl2DFieldSolver::new(
-            arch.build(0),
-            DensityBinning::Ngp,
-            NormStats::identity(),
-            "dl-2d",
-        );
+        let mut solver = untrained_solver(&grid, 0);
         let p = TwoStream2DInit::random(0.2, 0.0, 512, 1).build(&grid);
         let mut ex = grid.zeros();
         let mut ey = grid.zeros();
@@ -638,20 +593,22 @@ mod tests {
     }
 
     #[test]
-    fn frozen_2d_solver_is_bit_identical_to_owned() {
+    fn frozen_2d_members_are_bit_identical_to_sequential_predict() {
         let grid = tiny_grid();
-        let arch = arch_2d(&grid, vec![16]);
-        let mut owned = Dl2DFieldSolver::new(
-            arch.build(3),
+        let mut net = arch_2d(&grid, vec![16]).build(3);
+        let norm = NormStats::identity();
+        let frozen = Frozen2DModel::from_network(
+            &net,
             DensityBinning::Cic,
-            NormStats::identity(),
+            norm,
+            512.0,
             "dl-2d",
-        )
-        .with_reference_mass(512.0);
-        let frozen = owned.freeze(Precision::F32).unwrap();
+            Precision::F32,
+        );
         let mut m1 = frozen.solver();
         let mut m2 = frozen.solver();
-        let p = TwoStream2DInit::random(0.2, 0.01, 512, 5).build(&grid);
+        // 500 particles against a 512 reference mass: the rescale runs.
+        let p = TwoStream2DInit::random(0.2, 0.01, 500, 5).build(&grid);
 
         let solve = |s: &mut Dl2DFieldSolver, grid: &Grid2D| {
             let mut ex = grid.zeros();
@@ -659,20 +616,27 @@ mod tests {
             s.solve(&p, grid, &mut ex, &mut ey);
             (ex, ey)
         };
-        let (ex0, ey0) = solve(&mut owned, &grid);
         let (ex1, ey1) = solve(&mut m1, &grid);
         let (ex2, ey2) = solve(&mut m2, &grid);
-        assert_eq!(ex0, ex1);
-        assert_eq!(ey0, ey1);
+        // The reference: bin, rescale, normalize, then the trained
+        // network's own forward.
+        let mut hist = vec![0.0f32; grid.nodes()];
+        bin_density(&p, &grid, DensityBinning::Cic, &mut hist);
+        let factor = 512.0 / 500.0f32;
+        hist.iter_mut().for_each(|v| *v *= factor);
+        norm.apply(&mut hist);
+        let pred = net.predict(&Tensor::new(hist, &[1, grid.nodes()]));
+        let nodes = grid.nodes();
+        let widen = |r: &[f32]| r.iter().map(|&v| v as f64).collect::<Vec<_>>();
+        assert_eq!(ex1, widen(&pred.data()[..nodes]));
+        assert_eq!(ey1, widen(&pred.data()[nodes..]));
         assert_eq!(ex1, ex2);
         assert_eq!(ey1, ey2);
 
-        // One allocation across sharers, distinct from the owned copy.
+        // One allocation across sharers, of the model's size.
         let (id1, bytes1) = m1.weight_storage().unwrap();
         let (id2, _) = m2.weight_storage().unwrap();
-        let (id0, _) = owned.weight_storage().unwrap();
         assert_eq!(id1, id2);
-        assert_ne!(id0, id1);
         assert_eq!(bytes1, frozen.weight_bytes());
         assert_eq!(m1.name(), "dl-2d");
         assert_eq!(m1.reference_mass(), 512.0);
@@ -681,13 +645,7 @@ mod tests {
     #[test]
     fn solver_plugs_into_simulation_2d() {
         let grid = tiny_grid();
-        let arch = arch_2d(&grid, vec![16]);
-        let solver = Dl2DFieldSolver::new(
-            arch.build(0),
-            DensityBinning::Ngp,
-            NormStats::identity(),
-            "dl-2d",
-        );
+        let solver = untrained_solver(&grid, 0);
         let cfg = Pic2DConfig {
             grid,
             init: TwoStream2DInit::quiet(0.2, 0.0, 1024, 1e-3, 0),

@@ -267,6 +267,7 @@ mod tests {
     use super::*;
     use crate::sim::RankState;
     use dlpic_core::builder::ArchSpec;
+    use dlpic_core::bundle::ModelBundle;
     use dlpic_core::normalize::NormStats;
     use dlpic_core::phase_space::{BinningShape, PhaseGridSpec};
 
@@ -277,14 +278,17 @@ mod tests {
             hidden: vec![8],
             output: 64,
         };
-        DlFieldSolver::new(
-            arch.build(0),
+        let mut net = arch.build(0);
+        ModelBundle::from_network(
+            &mut net,
+            arch,
             spec,
             BinningShape::Ngp,
             NormStats::identity(),
-            arch.input_kind(),
-            "dl-mlp",
         )
+        .freeze()
+        .expect("freshly serialized parameters decode")
+        .solver()
     }
 
     fn make_states(grid: &Grid1D, topo: &Topology, per_rank: usize) -> Vec<RankState> {

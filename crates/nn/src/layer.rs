@@ -20,16 +20,6 @@ pub trait Layer: Send {
     /// input gradient. Must be preceded by a `forward(.., true)`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
-    /// Inference into a caller-owned output tensor, retaining no
-    /// activation cache. Implementations resize `out` in place and reuse
-    /// its buffer, so repeated calls perform no heap allocation once the
-    /// buffer is warm — the per-step path of the DL field solvers. The
-    /// default falls back to the allocating [`Layer::forward`]; layers on
-    /// the inference hot path (dense, relu, flatten) override it.
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        *out = self.forward(input, false);
-    }
-
     /// Training-time forward into a caller-owned output tensor: same
     /// contract as `forward(.., true)` (the activation cache is
     /// retained), but the output buffer is resized in place and reused,
@@ -57,13 +47,10 @@ pub trait Layer: Send {
     fn zero_grads(&mut self) {}
 
     /// The immutable inference form of this layer at the given weight
-    /// precision, or `None` when the layer has no frozen form (the
-    /// default) — then [`crate::Sequential::freeze`] fails and callers
-    /// keep an owned network. Frozen inference must match
-    /// [`Layer::infer_into`] exactly at [`Precision::F32`].
-    fn freeze(&self, _precision: Precision) -> Option<FrozenLayer> {
-        None
-    }
+    /// precision — what [`crate::Sequential::freeze`] assembles into a
+    /// [`crate::FrozenModel`]. At [`Precision::F32`] frozen inference must
+    /// match `forward(.., false)` bit for bit.
+    fn freeze(&self, precision: Precision) -> FrozenLayer;
 
     /// Layer name for summaries.
     fn name(&self) -> &'static str;

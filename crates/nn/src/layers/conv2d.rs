@@ -20,6 +20,7 @@
 //! the test module as the oracle, mirroring the fused-kernel pattern of
 //! the particle pipeline.
 
+use crate::frozen::{FrozenLayer, Precision};
 use crate::init::Init;
 use crate::layer::{cache_input, Layer};
 use crate::linalg::{conv_dw_accum, conv_gemm};
@@ -100,8 +101,8 @@ impl Conv2d {
         self.pad_in.resize(self.in_ch * ph * pw, 0.0);
         self.pad_gy.clear();
         self.pad_gy.resize(self.out_ch * ph * pw, 0.0);
-        self.boff_in = patch_offsets(self.in_ch, self.k, ph, pw);
-        self.boff_gy = patch_offsets(self.out_ch, self.k, ph, pw);
+        patch_offsets_into(&mut self.boff_in, self.in_ch, self.k, ph, pw);
+        patch_offsets_into(&mut self.boff_gy, self.out_ch, self.k, ph, pw);
         self.ready_hw = (h, w);
     }
 
@@ -229,7 +230,7 @@ impl Conv2d {
 /// copied in fixed 16-element chunks plus a scalar tail: the rows are
 /// short (one image line), so `memcpy`'s per-call overhead would
 /// dominate a `copy_from_slice` per row.
-fn pad_sample(dst: &mut [f32], sample: &[f32], ch: usize, h: usize, w: usize, p: usize) {
+pub(crate) fn pad_sample(dst: &mut [f32], sample: &[f32], ch: usize, h: usize, w: usize, p: usize) {
     let (ph, pw) = (h + 2 * p, w + 2 * p);
     debug_assert_eq!(dst.len(), ch * ph * pw);
     debug_assert_eq!(sample.len(), ch * h * w);
@@ -251,10 +252,11 @@ fn pad_sample(dst: &mut [f32], sample: &[f32], ch: usize, h: usize, w: usize, p:
     }
 }
 
-/// Base offsets of the virtual patch rows: entry `(c·k + ky)·k + kx`
-/// points at `pad[c][ky][kx]` of a `[ch, ph, pw]` padded buffer.
-fn patch_offsets(ch: usize, k: usize, ph: usize, pw: usize) -> Vec<usize> {
-    let mut boff = Vec::with_capacity(ch * k * k);
+/// Rewrites `boff` (reusing its allocation) with the base offsets of
+/// the virtual patch rows: entry `(c·k + ky)·k + kx` points at
+/// `pad[c][ky][kx]` of a `[ch, ph, pw]` padded buffer.
+pub(crate) fn patch_offsets_into(boff: &mut Vec<usize>, ch: usize, k: usize, ph: usize, pw: usize) {
+    boff.clear();
     for c in 0..ch {
         for ky in 0..k {
             for kx in 0..k {
@@ -262,7 +264,6 @@ fn patch_offsets(ch: usize, k: usize, ph: usize, pw: usize) -> Vec<usize> {
             }
         }
     }
-    boff
 }
 
 impl Layer for Conv2d {
@@ -270,10 +271,6 @@ impl Layer for Conv2d {
         let mut out = Tensor::zeros(&[0]);
         self.forward_core(input, &mut out, training);
         out
-    }
-
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.forward_core(input, out, false);
     }
 
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
@@ -298,6 +295,16 @@ impl Layer for Conv2d {
     fn zero_grads(&mut self) {
         self.dw.fill(0.0);
         self.db.fill(0.0);
+    }
+
+    fn freeze(&self, _precision: Precision) -> FrozenLayer {
+        FrozenLayer::Conv2d {
+            in_ch: self.in_ch,
+            out_ch: self.out_ch,
+            k: self.k,
+            w: self.w.clone(),
+            b: self.b.clone(),
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -1,6 +1,6 @@
 //! Fully connected layer: `Y = X·W + b`.
 
-use crate::frozen::{FrozenLayer, Precision};
+use crate::frozen::{FrozenDense, FrozenLayer, Precision};
 use crate::init::Init;
 use crate::layer::{cache_input, Layer};
 use crate::linalg::{add_bias, col_sums_into, matmul_nn, matmul_nt, matmul_tn};
@@ -59,6 +59,18 @@ impl Dense {
     /// Immutable bias access.
     pub fn bias(&self) -> &[f32] {
         &self.b
+    }
+
+    /// The frozen `X·W + b` map (shared by the dense and residual-dense
+    /// frozen forms).
+    pub(crate) fn frozen(&self, precision: Precision) -> FrozenDense {
+        FrozenDense::new(
+            self.in_features,
+            self.out_features,
+            &self.w,
+            &self.b,
+            precision,
+        )
     }
 }
 
@@ -142,10 +154,6 @@ impl Layer for Dense {
         out
     }
 
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.forward_core(input, out);
-    }
-
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
         self.forward_core(input, out);
         cache_input(&mut self.cached_input, input);
@@ -161,14 +169,8 @@ impl Layer for Dense {
         self.backward_core(grad_out, grad_in);
     }
 
-    fn freeze(&self, precision: Precision) -> Option<FrozenLayer> {
-        Some(FrozenLayer::dense(
-            self.in_features,
-            self.out_features,
-            &self.w,
-            &self.b,
-            precision,
-        ))
+    fn freeze(&self, precision: Precision) -> FrozenLayer {
+        FrozenLayer::Dense(self.frozen(precision))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {

@@ -28,15 +28,11 @@ impl Layer for Flatten {
         input.clone().reshape(&[batch, features])
     }
 
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        out.resize_in_place(&[input.batch(), input.row_len()]);
-        out.data_mut().copy_from_slice(input.data());
-    }
-
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
         self.input_shape.clear();
         self.input_shape.extend_from_slice(input.shape());
-        self.infer_into(input, out);
+        out.resize_in_place(&[input.batch(), input.row_len()]);
+        out.data_mut().copy_from_slice(input.data());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -56,8 +52,8 @@ impl Layer for Flatten {
         grad_in.data_mut().copy_from_slice(grad_out.data());
     }
 
-    fn freeze(&self, _precision: Precision) -> Option<FrozenLayer> {
-        Some(FrozenLayer::Flatten)
+    fn freeze(&self, _precision: Precision) -> FrozenLayer {
+        FrozenLayer::Flatten
     }
 
     fn name(&self) -> &'static str {

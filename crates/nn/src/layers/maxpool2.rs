@@ -1,6 +1,7 @@
 //! 2×2 max pooling with stride 2 — the "MaxPooling layer" after each
 //! convolutional block of the paper's CNN (§IV.A).
 
+use crate::frozen::{FrozenLayer, Precision};
 use crate::layer::Layer;
 use crate::tensor::Tensor;
 
@@ -23,46 +24,61 @@ impl MaxPool2 {
     /// Shared forward: writes the pooled output into `out` (resized in
     /// place), recording argmax indices when `training`.
     fn forward_core(&mut self, input: &Tensor, out: &mut Tensor, training: bool) {
-        let shape = input.shape();
-        assert_eq!(
-            shape.len(),
-            4,
-            "maxpool expects [batch, ch, h, w], got {shape:?}"
-        );
-        let (batch, ch, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        assert!(
-            h % 2 == 0 && w % 2 == 0,
-            "maxpool needs even spatial dims, got {h}x{w}"
-        );
-        let (oh, ow) = (h / 2, w / 2);
-        out.resize_in_place(&[batch, ch, oh, ow]);
         if training {
-            self.argmax.clear();
-            self.argmax.resize(out.len(), 0);
+            max_pool2_into(input, out, Some(&mut self.argmax));
             self.input_shape.clear();
-            self.input_shape.extend_from_slice(shape);
+            self.input_shape.extend_from_slice(input.shape());
+        } else {
+            max_pool2_into(input, out, None);
         }
-        let data = input.data();
-        let out_data = out.data_mut();
-        for bc in 0..batch * ch {
-            let plane = &data[bc * h * w..(bc + 1) * h * w];
-            let out_plane = &mut out_data[bc * oh * ow..(bc + 1) * oh * ow];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let base = (2 * oy) * w + 2 * ox;
-                    let candidates = [base, base + 1, base + w, base + w + 1];
-                    let mut best = candidates[0];
-                    let mut best_v = plane[best];
-                    for &c in &candidates[1..] {
-                        if plane[c] > best_v {
-                            best_v = plane[c];
-                            best = c;
-                        }
+    }
+}
+
+/// 2×2/stride-2 max pooling of a `[batch, ch, h, w]` tensor into `out`
+/// (resized in place). With `argmax`, also records the flat input index
+/// each output was taken from (ties go to the first maximum).
+pub(crate) fn max_pool2_into(
+    input: &Tensor,
+    out: &mut Tensor,
+    mut argmax: Option<&mut Vec<usize>>,
+) {
+    let shape = input.shape();
+    assert_eq!(
+        shape.len(),
+        4,
+        "maxpool expects [batch, ch, h, w], got {shape:?}"
+    );
+    let (batch, ch, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+    assert!(
+        h % 2 == 0 && w % 2 == 0,
+        "maxpool needs even spatial dims, got {h}x{w}"
+    );
+    let (oh, ow) = (h / 2, w / 2);
+    out.resize_in_place(&[batch, ch, oh, ow]);
+    if let Some(am) = argmax.as_mut() {
+        am.clear();
+        am.resize(out.len(), 0);
+    }
+    let data = input.data();
+    let out_data = out.data_mut();
+    for bc in 0..batch * ch {
+        let plane = &data[bc * h * w..(bc + 1) * h * w];
+        let out_plane = &mut out_data[bc * oh * ow..(bc + 1) * oh * ow];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let base = (2 * oy) * w + 2 * ox;
+                let candidates = [base, base + 1, base + w, base + w + 1];
+                let mut best = candidates[0];
+                let mut best_v = plane[best];
+                for &c in &candidates[1..] {
+                    if plane[c] > best_v {
+                        best_v = plane[c];
+                        best = c;
                     }
-                    out_plane[oy * ow + ox] = best_v;
-                    if training {
-                        self.argmax[bc * oh * ow + oy * ow + ox] = bc * h * w + best;
-                    }
+                }
+                out_plane[oy * ow + ox] = best_v;
+                if let Some(am) = argmax.as_mut() {
+                    am[bc * oh * ow + oy * ow + ox] = bc * h * w + best;
                 }
             }
         }
@@ -74,10 +90,6 @@ impl Layer for MaxPool2 {
         let mut out = Tensor::zeros(&[0]);
         self.forward_core(input, &mut out, training);
         out
-    }
-
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.forward_core(input, out, false);
     }
 
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
@@ -102,6 +114,10 @@ impl Layer for MaxPool2 {
         for (&g, &src) in grad_out.data().iter().zip(&self.argmax) {
             gi[src] += g;
         }
+    }
+
+    fn freeze(&self, _precision: Precision) -> FrozenLayer {
+        FrozenLayer::MaxPool2
     }
 
     fn name(&self) -> &'static str {

@@ -27,17 +27,13 @@ impl Layer for Relu {
         input.map(|v| v.max(0.0))
     }
 
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
+    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
+        self.mask.clear();
+        self.mask.extend(input.data().iter().map(|&v| v > 0.0));
         out.resize_in_place(input.shape());
         for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
             *o = v.max(0.0);
         }
-    }
-
-    fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.mask.clear();
-        self.mask.extend(input.data().iter().map(|&v| v > 0.0));
-        self.infer_into(input, out);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -63,8 +59,8 @@ impl Layer for Relu {
         }
     }
 
-    fn freeze(&self, _precision: Precision) -> Option<FrozenLayer> {
-        Some(FrozenLayer::Relu)
+    fn freeze(&self, _precision: Precision) -> FrozenLayer {
+        FrozenLayer::Relu
     }
 
     fn name(&self) -> &'static str {

@@ -5,6 +5,7 @@
 //! better fit to DL-based PIC methods than MLPs" — this block lets the
 //! `ablation_arch` experiment test a residual MLP against the plain one.
 
+use crate::frozen::{FrozenLayer, Precision};
 use crate::init::Init;
 use crate::layer::Layer;
 use crate::layers::dense::Dense;
@@ -39,13 +40,6 @@ impl Layer for ResidualDense {
             self.mask.extend(y.data().iter().map(|&v| v > 0.0));
         }
         y.map(|v| v.max(0.0))
-    }
-
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        self.inner.infer_into(input, out);
-        for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
-            *o = (*o + x).max(0.0);
-        }
     }
 
     fn train_forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
@@ -92,6 +86,10 @@ impl Layer for ResidualDense {
 
     fn zero_grads(&mut self) {
         self.inner.zero_grads();
+    }
+
+    fn freeze(&self, precision: Precision) -> FrozenLayer {
+        FrozenLayer::ResidualDense(self.inner.frozen(precision))
     }
 
     fn name(&self) -> &'static str {

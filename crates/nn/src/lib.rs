@@ -16,9 +16,10 @@
 //! * MAE / max-error [`metrics`] (the paper's Table I columns);
 //! * parameter [`serialize`] for model persistence.
 //!
-//! The GEMM kernels in [`linalg`] parallelize with rayon and autovectorize
-//! (AVX-512/FMA with `target-cpu=native`); everything is `f32`, matching
-//! common DL-framework defaults.
+//! The GEMM kernels in [`linalg`] run runtime-detected AVX-512 register
+//! tiles with a portable autovectorized fallback; everything is `f32`,
+//! matching common DL-framework defaults. Trained networks deploy as an
+//! immutable, `Arc`-shareable [`FrozenModel`] ([`frozen`]).
 
 #![warn(missing_docs)]
 
@@ -39,12 +40,12 @@ pub mod tensor;
 pub mod trainer;
 
 pub use data::Dataset;
-pub use frozen::{FreezeError, FrozenModel, Precision};
+pub use frozen::{FrozenModel, Precision, PredictWorkspace};
 pub use init::Init;
 pub use layer::Layer;
 pub use layers::{Conv2d, Dense, Flatten, MaxPool2, Relu, ResidualDense};
 pub use loss::{Loss, Mse};
-pub use network::{PredictWorkspace, Sequential};
+pub use network::Sequential;
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use tensor::Tensor;
 pub use trainer::{train, TrainConfig, TrainHistory};

@@ -1,6 +1,6 @@
 //! Sequential network container.
 
-use crate::frozen::{FreezeError, FrozenModel, Precision};
+use crate::frozen::{FrozenModel, Precision};
 use crate::layer::Layer;
 use crate::loss::Loss;
 use crate::tensor::Tensor;
@@ -10,33 +10,6 @@ use crate::tensor::Tensor;
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-}
-
-/// Reusable ping-pong activation buffers for
-/// [`Sequential::predict_into`]: once warm, repeated inference performs
-/// no heap allocation (for layer stacks whose members implement
-/// [`Layer::infer_into`]; others fall back to the allocating path but
-/// still reuse the workspace slots).
-pub struct PredictWorkspace {
-    pub(crate) a: Tensor,
-    pub(crate) b: Tensor,
-}
-
-impl Default for PredictWorkspace {
-    fn default() -> Self {
-        Self {
-            a: Tensor::zeros(&[0]),
-            b: Tensor::zeros(&[0]),
-        }
-    }
-}
-
-impl PredictWorkspace {
-    /// An empty workspace; buffers grow to the network's widest
-    /// activation on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Reusable buffers for [`Sequential::compute_gradients_into`]: two
@@ -123,62 +96,11 @@ impl Sequential {
         x
     }
 
-    /// Inference without caching.
+    /// Inference without caching — the allocating reference path.
+    /// Deployed inference runs a [`FrozenModel`] from [`Self::freeze`],
+    /// which is bit-identical to this at [`Precision::F32`].
     pub fn predict(&mut self, input: &Tensor) -> Tensor {
         self.forward(input, false)
-    }
-
-    /// Inference into the reusable `workspace`, returning a reference to
-    /// the output activation. Layers alternate between the workspace's
-    /// two buffers, so a warm workspace makes repeated inference
-    /// allocation-free — the per-step path of the DL field solvers.
-    pub fn predict_into<'w>(
-        &mut self,
-        input: &Tensor,
-        workspace: &'w mut PredictWorkspace,
-    ) -> &'w Tensor {
-        if self.layers.is_empty() {
-            workspace.a.resize_in_place(input.shape());
-            workspace.a.data_mut().copy_from_slice(input.data());
-            return &workspace.a;
-        }
-        let mut out_is_a = true;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (src, dst) = if out_is_a {
-                (&workspace.b, &mut workspace.a)
-            } else {
-                (&workspace.a, &mut workspace.b)
-            };
-            let src = if i == 0 { input } else { src };
-            layer.infer_into(src, dst);
-            out_is_a = !out_is_a;
-        }
-        // The last layer wrote the buffer `out_is_a` now points away from.
-        if out_is_a {
-            &workspace.b
-        } else {
-            &workspace.a
-        }
-    }
-
-    /// Batched inference: one forward pass over an `m`-row batch (shape
-    /// `[m, in]` for flat inputs, `[m, c, h, w]` for image inputs) through
-    /// the reusable ping-pong `workspace`. The layer stack treats rows as
-    /// independent samples, and the `nn`/GEMV kernels are row-stable, so
-    /// row `i` of the batched output is **bitwise identical** to running
-    /// that row alone through [`Self::predict_into`] — the property the
-    /// engine's ensemble scheduler relies on when it folds `m` concurrent
-    /// DL field solves into one GEMM that hits the 8-row zmm tiles.
-    ///
-    /// Identical math to [`Self::predict_into`]; kept as a separate entry
-    /// point so callers hold distinct warm workspaces for their solo and
-    /// batched shapes (a workspace regrown every call would reallocate).
-    pub fn predict_batch_into<'w>(
-        &mut self,
-        batch: &Tensor,
-        workspace: &'w mut PredictWorkspace,
-    ) -> &'w Tensor {
-        self.predict_into(batch, workspace)
     }
 
     /// Backward pass from the output gradient; accumulates parameter
@@ -248,26 +170,11 @@ impl Sequential {
     /// Snapshots the weights into an immutable [`FrozenModel`] at the
     /// given storage precision — the shareable inference form
     /// (`Arc<FrozenModel>`) whose `&self` prediction path is
-    /// bit-identical to this network's at [`Precision::F32`]. Training
+    /// bit-identical to [`Self::predict`] at [`Precision::F32`]. Training
     /// state (gradients, caches) stays behind; the network is unchanged.
-    ///
-    /// Fails on the first layer without a frozen form (conv / pooling /
-    /// residual blocks), naming it, so callers can fall back to an
-    /// owned per-session network.
-    pub fn freeze(&self, precision: Precision) -> Result<FrozenModel, FreezeError> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter().enumerate() {
-            match layer.freeze(precision) {
-                Some(frozen) => layers.push(frozen),
-                None => {
-                    return Err(FreezeError {
-                        layer_index: i,
-                        layer_name: layer.name(),
-                    })
-                }
-            }
-        }
-        Ok(FrozenModel::from_layers(layers, precision))
+    pub fn freeze(&self, precision: Precision) -> FrozenModel {
+        let layers = self.layers.iter().map(|l| l.freeze(precision)).collect();
+        FrozenModel::from_layers(layers, precision)
     }
 
     /// Visits every (parameter, gradient) slice pair in a stable order.
@@ -343,68 +250,6 @@ mod tests {
         }
         let last = net.compute_gradients(&loss, &x, &y);
         assert!(last < first * 0.05, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn predict_into_matches_predict() {
-        let mut net = tiny_net();
-        let mut ws = PredictWorkspace::new();
-        for trial in 0..3 {
-            let x = Tensor::new(
-                (0..6).map(|i| (i + trial) as f32 * 0.3 - 0.8).collect(),
-                &[3, 2],
-            );
-            let expect = net.predict(&x);
-            let got = net.predict_into(&x, &mut ws);
-            assert_eq!(got.shape(), expect.shape());
-            assert_eq!(got.data(), expect.data());
-        }
-    }
-
-    #[test]
-    fn predict_batch_rows_bit_identical_to_solo_rows() {
-        // The ensemble-batching contract at the network level: every row
-        // of a batched inference equals the same input run alone,
-        // bit for bit (row-stable GEMM kernels + per-row bias/ReLU).
-        let mut net = Sequential::new()
-            .push(Dense::new(6, 32, Init::HeNormal, 7))
-            .push(Relu::new())
-            .push(Dense::new(32, 17, Init::HeNormal, 8));
-        for m in [1usize, 3, 8, 11] {
-            let batch = Tensor::new(
-                (0..m * 6).map(|i| (i as f32 * 0.37).sin()).collect(),
-                &[m, 6],
-            );
-            let mut batch_ws = PredictWorkspace::new();
-            let out = net.predict_batch_into(&batch, &mut batch_ws).clone();
-            assert_eq!(out.shape(), &[m, 17]);
-            for r in 0..m {
-                let row = Tensor::new(batch.data()[r * 6..(r + 1) * 6].to_vec(), &[1, 6]);
-                let mut solo_ws = PredictWorkspace::new();
-                let solo = net.predict_into(&row, &mut solo_ws);
-                for (j, (x, y)) in out.data()[r * 17..(r + 1) * 17]
-                    .iter()
-                    .zip(solo.data())
-                    .enumerate()
-                {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "m={m} row {r} elem {j}: batched {x} != solo {y}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn predict_into_on_empty_network_copies_input() {
-        let mut net = Sequential::new();
-        let mut ws = PredictWorkspace::new();
-        let x = Tensor::new(vec![1.0, -2.0], &[1, 2]);
-        let y = net.predict_into(&x, &mut ws);
-        assert_eq!(y.data(), x.data());
-        assert_eq!(y.shape(), x.shape());
     }
 
     #[test]

@@ -7,54 +7,20 @@
 
 use crate::grid2d::Grid2D;
 use crate::particles2d::Particles2D;
-use dlpic_pic::deposit::{scatter_reduce_parallel, DepositScratch, PAR_THRESHOLD};
 use dlpic_pic::shape::Shape;
 
 /// Deposits macro-particle charge onto the node array `rho`
-/// (units: charge / area — node density). Allocates fresh partial grids
-/// when the parallel path fires; stepping loops use
-/// [`deposit_charge_with_scratch`] to reuse a caller-owned scratch.
+/// (units: charge / area — node density).
 ///
 /// # Panics
 /// Panics if `rho` length differs from the grid node count.
 pub fn deposit_charge(particles: &Particles2D, grid: &Grid2D, shape: Shape, rho: &mut [f64]) {
-    let mut scratch = DepositScratch::new();
-    deposit_charge_with_scratch(particles, grid, shape, rho, &mut scratch);
-}
-
-/// [`deposit_charge`] with a caller-owned scratch: the parallel path
-/// scatters into the scratch's reused per-worker partial grids and
-/// reduces them into `rho`, performing no allocation once the scratch is
-/// warm. The sequential path ignores the scratch entirely.
-///
-/// # Panics
-/// Panics if `rho` length differs from the grid node count.
-pub fn deposit_charge_with_scratch(
-    particles: &Particles2D,
-    grid: &Grid2D,
-    shape: Shape,
-    rho: &mut [f64],
-    scratch: &mut DepositScratch,
-) {
     assert_eq!(rho.len(), grid.nodes(), "rho length mismatch");
     let q_over_area = particles.charge() / grid.cell_area();
-    if particles.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        scatter_reduce_parallel(particles.len(), rho, scratch, |range, partial| {
-            scatter_chunk(
-                &particles.x[range.clone()],
-                &particles.y[range],
-                grid,
-                shape,
-                q_over_area,
-                partial,
-            )
-        });
-    } else {
-        scatter_chunk(&particles.x, &particles.y, grid, shape, q_over_area, rho);
-    }
+    scatter_chunk(&particles.x, &particles.y, grid, shape, q_over_area, rho);
 }
 
-/// Sequential scatter of one chunk of positions. Node indices wrap by
+/// Sequential scatter of a run of positions. Node indices wrap by
 /// compare-and-fold (`wrap_cell`) — the same values `wrap_ix`/`wrap_iy`
 /// produce, without the per-node integer division.
 fn scatter_chunk(

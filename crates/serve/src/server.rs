@@ -219,7 +219,7 @@ struct RunEntry {
     /// budget while it steps: [`estimate_session`] total minus the
     /// shared-weight slice when `weight_key` is `Some` (the weights are
     /// charged separately, once per distinct key), the full total when
-    /// the run owns its model. 0 for final runs reloaded without a spec
+    /// the backend carries no model. 0 for final runs reloaded without a spec
     /// (nothing left to charge).
     est_bytes: usize,
     /// Bytes of the shared weight allocation this run reads, charged
@@ -229,7 +229,7 @@ struct RunEntry {
     /// The engine's weight-sharing fingerprint
     /// ([`Engine::weight_profile`](dlpic_repro::engine::Engine::weight_profile)):
     /// active runs with equal keys read one allocation. `None` for
-    /// model-free backends and per-copy models.
+    /// model-free backends.
     weight_key: Option<String>,
     /// Circuit-breaker key ([`spec_fingerprint`]); empty when the spec is
     /// gone (final runs reloaded from results only).

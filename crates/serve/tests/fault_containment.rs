@@ -431,6 +431,45 @@ fn corrupt_result_quarantines_the_run_and_spares_its_sibling() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// A spool file nested far deeper than any document the server writes
+/// (the shape of a hostile or bit-rotted file) is rejected by the JSON
+/// depth limit as a parse error: resume quarantines that run instead of
+/// overflowing the stack and aborting, and the daemon keeps serving.
+#[test]
+fn too_deep_spool_file_is_quarantined_not_a_stack_overflow() {
+    let spool = temp_dir("deep");
+    let server =
+        Server::start(ServeConfig::default().spool(&spool).max_sessions(2)).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let sweep = SweepSpec::grid("two_stream", Scale::Smoke).seeds([1, 2]);
+    let job = JobRequest::sweep(sweep, Backend::Traditional1D).with_steps(8);
+    let (id, _) = client.submit(&job, "alice").expect("submit");
+    client
+        .wait_for(&id, Duration::from_millis(5))
+        .expect("wait");
+    client.drain().expect("drain");
+    server.wait();
+
+    let deep = "[".repeat(200_000);
+    std::fs::write(spool.join(&id).join("run-0.done.json"), deep).expect("vandalize");
+
+    let server = Server::start(ServeConfig::default().resume(&spool)).expect("resume");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let states = run_states(&mut client, &id);
+    assert_eq!(states[0].0, "failed");
+    let why = states[0].2.as_deref().unwrap();
+    assert!(
+        why.contains("unrecoverable") && why.contains("nesting"),
+        "{why}"
+    );
+    assert_eq!(states[1].0, "done");
+    assert!(client.health().is_ok(), "the daemon serves on");
+
+    client.drain().expect("drain");
+    server.wait();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 #[test]
 fn job_key_makes_submit_idempotent_per_tenant() {
     let server = Server::start(ServeConfig::default()).expect("start");

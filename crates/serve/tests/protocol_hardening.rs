@@ -215,6 +215,42 @@ fn hostile_lines_get_structured_errors_and_the_server_keeps_serving() {
     server.wait();
 }
 
+/// A line nested far past any legitimate document (but well under the
+/// line cap) used to recurse the JSON parser off the connection thread's
+/// stack and abort the whole daemon. It must be an ordinary `bad-json`
+/// rejection, after which the daemon still answers `health`.
+#[test]
+fn deeply_nested_line_is_bad_json_and_the_daemon_survives() {
+    let server = Server::start(ServeConfig::default()).expect("start");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    let deep = "[".repeat(200_000);
+    assert!(deep.len() < MAX_LINE);
+    let doc = send_raw(&mut stream, &mut reader, deep.as_bytes());
+    assert_eq!(error_code(&doc), "bad-json");
+
+    // Same connection and a fresh one both still get answers.
+    let doc = send_raw(&mut stream, &mut reader, br#"{"op":"health"}"#);
+    assert!(
+        matches!(doc.get("ok"), Some(Json::Bool(true))),
+        "{}",
+        doc.to_compact()
+    );
+    let mut fresh = TcpStream::connect(server.addr()).expect("reconnect");
+    let mut fresh_reader = BufReader::new(fresh.try_clone().expect("clone"));
+    let doc = send_raw(&mut fresh, &mut fresh_reader, br#"{"op":"health"}"#);
+    assert!(
+        matches!(doc.get("ok"), Some(Json::Bool(true))),
+        "{}",
+        doc.to_compact()
+    );
+
+    let doc = send_raw(&mut stream, &mut reader, br#"{"op":"drain"}"#);
+    assert!(matches!(doc.get("ok"), Some(Json::Bool(true))));
+    server.wait();
+}
+
 /// A response to an oversized line must arrive even though the line was
 /// rejected, and the bytes after its newline must parse as the next
 /// request — the reader drains, it doesn't resynchronize by luck.

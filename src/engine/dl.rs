@@ -12,6 +12,9 @@
 //!    fields are physically meaningless (finite, near-zero) but every
 //!    plumbing path is exercised; runs report the solver name
 //!    `dl-*-untrained` so nobody mistakes them for physics.
+//!
+//! Whichever way a model arrives, sessions run it as an `Arc`-shared
+//! frozen model: one weight allocation per distinct model.
 
 use super::backend::Backend;
 use super::error::EngineError;
@@ -20,7 +23,7 @@ use crate::core::normalize::NormStats;
 use crate::core::phase_space::BinningShape;
 use crate::core::presets::Scale;
 use crate::core::twod::{
-    arch_2d, harvest_2d, train_2d_solver, DensityBinning, Dl2DFieldSolver, Frozen2DModel,
+    arch_2d, harvest_2d, train_2d_network, DensityBinning, Dl2DFieldSolver, Frozen2DModel,
     Train2DConfig,
 };
 use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
@@ -30,8 +33,8 @@ use crate::pic2d::{Grid2D, Pic2DConfig};
 use std::sync::{Arc, Mutex};
 
 /// A persisted-in-memory 2-D DL model (the 2-D analogue of
-/// [`ModelBundle`]): enough to rebuild a [`Dl2DFieldSolver`] any number of
-/// times.
+/// [`ModelBundle`]): enough to freeze a shareable [`Frozen2DModel`] for a
+/// grid, from which any number of [`Dl2DFieldSolver`]s are minted.
 #[derive(Debug, Clone)]
 pub struct Dl2DModel {
     /// Hidden-layer widths of the MLP.
@@ -47,9 +50,14 @@ pub struct Dl2DModel {
 }
 
 impl Dl2DModel {
-    /// Rebuilds the solver for the given grid. Fails if the grid's node
-    /// count mismatches the trained parameter shapes.
-    pub fn into_solver(&self, grid: &Grid2D) -> Result<Dl2DFieldSolver, EngineError> {
+    /// Restores the trained network for the given grid and freezes it at
+    /// `precision`. Fails if the grid's node count mismatches the trained
+    /// parameter shapes.
+    pub fn freeze(
+        &self,
+        grid: &Grid2D,
+        precision: Precision,
+    ) -> Result<Frozen2DModel, EngineError> {
         let arch = arch_2d(grid, self.hidden.clone());
         let mut net = arch.build(0);
         params_from_bytes(&mut net, &self.params).map_err(|_| EngineError::InvalidSpec {
@@ -60,10 +68,14 @@ impl Dl2DModel {
                 grid.ny()
             ),
         })?;
-        Ok(
-            Dl2DFieldSolver::new(net, self.binning, self.norm, "dl-2d-mlp")
-                .with_reference_mass(self.reference_mass),
-        )
+        Ok(Frozen2DModel::from_network(
+            &net,
+            self.binning,
+            self.norm,
+            self.reference_mass,
+            "dl-2d-mlp",
+            precision,
+        ))
     }
 }
 
@@ -76,81 +88,46 @@ pub fn hidden_2d(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// An untrained 1-D DL solver with the scale's MLP architecture. The
-/// network output width is the paper's 64 cells, so the scenario domain
-/// must match (checked by the engine before building).
-pub fn untrained_1d(scale: Scale) -> DlFieldSolver {
-    let arch = scale.mlp_arch();
-    DlFieldSolver::new(
-        arch.build(0xD15E),
-        scale.phase_spec(),
-        BinningShape::Ngp,
-        NormStats::identity(),
-        arch.input_kind(),
-        "dl-mlp-untrained",
-    )
-}
-
-/// The frozen weight allocation behind [`untrained_1d`]: same seed, same
-/// architecture, one `Arc` a whole fleet of untrained sessions shares.
+/// The shared weight allocation of the untrained 1-D fallback: the
+/// scale's MLP at a fixed seed, one `Arc` a whole fleet of untrained
+/// sessions shares. The network output width is the paper's 64 cells, so
+/// the scenario domain must match (checked by the engine before building).
 pub fn untrained_frozen_1d(scale: Scale) -> Arc<FrozenModel> {
-    let net = scale.mlp_arch().build(0xD15E);
-    Arc::new(
-        net.freeze(Precision::F32)
-            .expect("the scale MLP architectures have frozen forms"),
-    )
+    Arc::new(scale.mlp_arch().build(0xD15E).freeze(Precision::F32))
 }
 
 /// One untrained fleet member over a shared weight allocation from
-/// [`untrained_frozen_1d`]. Bit-identical to [`untrained_1d`] at the same
-/// scale.
+/// [`untrained_frozen_1d`].
 pub fn untrained_1d_shared(scale: Scale, model: Arc<FrozenModel>) -> DlFieldSolver {
-    let arch = scale.mlp_arch();
-    DlFieldSolver::shared(
+    DlFieldSolver::new(
         model,
         scale.phase_spec(),
         BinningShape::Ngp,
         NormStats::identity(),
-        arch.input_kind(),
+        scale.mlp_arch().input_kind(),
         "dl-mlp-untrained",
     )
 }
 
-/// An untrained 2-D DL solver sized for the grid.
-pub fn untrained_2d(scale: Scale, grid: &Grid2D) -> Dl2DFieldSolver {
-    let arch = arch_2d(grid, hidden_2d(scale));
-    Dl2DFieldSolver::new(
-        arch.build(0xD15E),
-        DensityBinning::Ngp,
-        NormStats::identity(),
-        "dl-2d-mlp-untrained",
-    )
-}
-
-/// The frozen weight allocation behind [`untrained_2d`] for this grid.
+/// The shared weight allocation of the untrained 2-D fallback for this
+/// grid.
 pub fn untrained_frozen_2d(scale: Scale, grid: &Grid2D) -> Arc<FrozenModel> {
-    let net = arch_2d(grid, hidden_2d(scale)).build(0xD15E);
     Arc::new(
-        net.freeze(Precision::F32)
-            .expect("the 2-D MLP architecture has a frozen form"),
+        arch_2d(grid, hidden_2d(scale))
+            .build(0xD15E)
+            .freeze(Precision::F32),
     )
 }
 
 /// One untrained 2-D fleet member over a shared allocation from
-/// [`untrained_frozen_2d`]. Bit-identical to [`untrained_2d`] on the same
-/// grid.
+/// [`untrained_frozen_2d`].
 pub fn untrained_2d_shared(model: Arc<FrozenModel>) -> Dl2DFieldSolver {
-    Dl2DFieldSolver::shared(
+    Dl2DFieldSolver::new(
         model,
         DensityBinning::Ngp,
         NormStats::identity(),
         "dl-2d-mlp-untrained",
     )
-}
-
-/// Output width (field cells) of a 1-D bundle's network.
-pub fn bundle_output_cells(bundle: &ModelBundle) -> usize {
-    bundle.arch.output_len()
 }
 
 /// Trains a 1-D MLP field solver from scratch at the given scale — the
@@ -227,18 +204,13 @@ pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, Engin
         batch_size: 32,
         seed,
     };
-    let (mut solver, _history) = train_2d_solver(&grid, &samples, binning, &tc);
+    let (mut net, norm, _history) = train_2d_network(&grid, &samples, &tc);
     let reference_mass: f32 = samples.first().map(|s| s.hist.iter().sum()).unwrap_or(0.0);
-    let params = params_to_bytes(
-        solver
-            .network_mut()
-            .expect("a freshly trained solver owns its network"),
-    );
     Ok(Dl2DModel {
         hidden: hidden_2d(spec.scale),
-        params,
+        params: params_to_bytes(&mut net),
         binning,
-        norm: solver.norm(),
+        norm,
         reference_mass,
     })
 }
@@ -274,11 +246,11 @@ struct RegistryKey {
 enum RegistryPayload {
     OneD {
         bundle: Arc<ModelBundle>,
-        frozen: Option<FrozenBundle>,
+        frozen: FrozenBundle,
     },
     TwoD {
         model: Arc<Dl2DModel>,
-        frozen: Option<Frozen2DModel>,
+        frozen: Frozen2DModel,
         nodes: usize,
     },
 }
@@ -350,13 +322,12 @@ impl ModelRegistry {
         self
     }
 
-    /// Gets (or trains) the 1-D bundle for this spec. The frozen
-    /// snapshot is `None` only for architectures without a frozen form
-    /// (the CNN); callers then fall back to per-session owned networks.
+    /// Gets (or trains) the 1-D bundle for this spec, with the frozen
+    /// snapshot every session mints its solver from.
     pub fn model_1d(
         &mut self,
         spec: &ScenarioSpec,
-    ) -> Result<(Arc<ModelBundle>, Option<FrozenBundle>), EngineError> {
+    ) -> Result<(Arc<ModelBundle>, FrozenBundle), EngineError> {
         let key = self.key_for(spec, false);
         self.clock += 1;
         if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
@@ -380,9 +351,9 @@ impl ModelRegistry {
         }
         self.misses += 1;
         let bundle = quick_train_1d(spec.scale, spec.seed).with_precision(self.precision);
-        let frozen = bundle.freeze().ok();
+        let frozen = bundle.freeze()?;
         let bundle = Arc::new(bundle);
-        let bytes = bundle.params.len() + frozen.as_ref().map(|f| f.weight_bytes()).unwrap_or(0);
+        let bytes = bundle.params.len() + frozen.weight_bytes();
         self.entries.push(RegistryEntry {
             key,
             payload: RegistryPayload::OneD {
@@ -396,11 +367,12 @@ impl ModelRegistry {
         Ok((bundle, frozen))
     }
 
-    /// Gets (or trains) the 2-D model for this spec.
+    /// Gets (or trains) the 2-D model for this spec, with its frozen
+    /// snapshot.
     pub fn model_2d(
         &mut self,
         spec: &ScenarioSpec,
-    ) -> Result<(Arc<Dl2DModel>, Option<Frozen2DModel>), EngineError> {
+    ) -> Result<(Arc<Dl2DModel>, Frozen2DModel), EngineError> {
         let key = self.key_for(spec, true);
         self.clock += 1;
         if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
@@ -423,11 +395,8 @@ impl ModelRegistry {
         self.misses += 1;
         let nodes = spec.domain.cells();
         let model = Arc::new(quick_train_2d(spec, spec.seed)?);
-        let frozen = model
-            .into_solver(&spec.grid_2d())
-            .ok()
-            .and_then(|s| s.freeze(self.precision).ok());
-        let bytes = model.params.len() + frozen.as_ref().map(|f| f.weight_bytes()).unwrap_or(0);
+        let frozen = model.freeze(&spec.grid_2d(), self.precision)?;
+        let bytes = model.params.len() + frozen.weight_bytes();
         self.entries.push(RegistryEntry {
             key,
             payload: RegistryPayload::TwoD {

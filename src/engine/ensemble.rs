@@ -17,8 +17,8 @@
 //!   Monolithic backends (traditional, Vlasov, distributed) run whole
 //!   steps in the same wave.
 //! * [`Ensemble::run_to_end`] distributes sessions across worker threads
-//!   (contiguous chunks via [`core::pool`](crate::core::pool); the
-//!   workspace's `rayon` is a sequential shim). Each chunk batches its
+//!   (contiguous chunks via [`core::pool`](crate::core::pool), the
+//!   workspace's one threading facility). Each chunk batches its
 //!   own cohorts with its own warm scratch, so there is no cross-thread
 //!   synchronization until the join.
 //!

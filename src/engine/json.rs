@@ -40,6 +40,15 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// documents the repo writes nest 8 levels (the serve spool manifest:
+/// jobs → job → request → sweep → axes → axis → values); checkpoints nest
+/// at most 5 and a `result` response 7. The parser recurses once per
+/// level, so without a limit one hostile `[[[[…` request line overflows
+/// the thread's stack and aborts the process. Deeper input is a
+/// structured error instead.
+pub const MAX_DEPTH: usize = 64;
+
 fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError {
         message: message.into(),
@@ -51,7 +60,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing characters at byte {pos}"));
@@ -249,10 +258,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing containers nest `depth` levels.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -263,7 +276,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
+                let key = match parse_value(bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return err(format!("object key must be a string at byte {pos}")),
                 };
@@ -272,7 +285,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -294,7 +307,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -447,6 +460,25 @@ mod tests {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
         assert!(Json::parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let mut doc = Json::parse(&nested(MAX_DEPTH)).expect("at the limit");
+        for _ in 1..MAX_DEPTH {
+            doc = doc.as_arr().unwrap()[0].clone();
+        }
+        assert_eq!(doc, Json::Arr(vec![]));
+        for hostile in [
+            nested(MAX_DEPTH + 1),
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            // Far past any stack: must error, not abort.
+            "[".repeat(200_000),
+        ] {
+            let e = Json::parse(&hostile).unwrap_err();
+            assert!(e.message.contains("nesting deeper"), "{e}");
+        }
     }
 
     #[test]

@@ -73,20 +73,19 @@ impl Numerics1D {
 /// [`Session`]s for any compatible scenario×backend pairing, and runs them
 /// to completion on request.
 ///
-/// DL sessions built by one engine share weights: a configured model is
-/// frozen once into an `Arc`-shared allocation and every session minted
-/// from it reads the same memory (the f32 path is bit-identical to a
-/// per-session copy). The untrained fallback shares per (scale, grid)
-/// the same way, and a [`ModelRegistry`](super::ModelRegistry) attached
-/// via [`Self::with_registry`] extends sharing to quick-trained models
-/// keyed by (scenario, scale, seed).
+/// DL sessions built by one engine share weights: a configured model
+/// (MLP or CNN) is frozen once into an `Arc`-shared allocation and every
+/// session minted from it reads the same memory. The untrained fallback
+/// shares per (scale, grid) the same way, and a
+/// [`ModelRegistry`](super::ModelRegistry) attached via
+/// [`Self::with_registry`] extends sharing to quick-trained models keyed
+/// by (scenario, scale, seed).
 #[derive(Default)]
 pub struct Engine {
-    model_1d: Option<ModelBundle>,
-    /// Frozen snapshot of `model_1d`, computed once at configuration.
-    /// `None` with `model_1d` set means the architecture has no frozen
-    /// form (the CNN) and sessions fall back to per-copy owned networks.
-    frozen_1d: Option<FrozenBundle>,
+    /// The configured 1-D model, frozen once at configuration. `Err`
+    /// keeps a bundle whose parameters do not decode, so every session
+    /// build re-raises the decode error as [`EngineError::Bundle`].
+    model_1d: Option<Result<FrozenBundle, ModelBundle>>,
     model_2d: Option<Dl2DModel>,
     /// Lazily frozen snapshots of `model_2d`, keyed by grid node count
     /// (one trained parameter set can only ever fit one grid, but the
@@ -120,8 +119,7 @@ impl Engine {
     /// Uses this trained 1-D bundle for `Backend::Dl1D` runs. The bundle
     /// is frozen here, once — every session shares the allocation.
     pub fn with_model_1d(mut self, bundle: ModelBundle) -> Self {
-        self.frozen_1d = bundle.freeze().ok();
-        self.model_1d = Some(bundle);
+        self.model_1d = Some(bundle.freeze().map_err(|_| bundle));
         self
     }
 
@@ -283,8 +281,7 @@ impl Engine {
     /// the current configuration: `Some((fingerprint, bytes))` means
     /// sessions with equal fingerprints read **one** `bytes`-sized shared
     /// allocation (charge it once per distinct fingerprint); `None` means
-    /// every session owns a private copy (model-free backends, or an
-    /// unfreezable explicit model). This is the accounting contract the
+    /// the backend carries no model. This is the accounting contract the
     /// serve tier's budget admission keys on.
     pub fn weight_profile(&self, spec: &ScenarioSpec, backend: Backend) -> Option<(String, usize)> {
         self.weight_profiler().profile(spec, backend)
@@ -298,8 +295,11 @@ impl Engine {
     /// attachment are builder-time decisions.
     pub fn weight_profiler(&self) -> WeightProfiler {
         WeightProfiler {
-            frozen_1d_bytes: self.frozen_1d.as_ref().map(FrozenBundle::weight_bytes),
-            has_model_1d: self.model_1d.is_some(),
+            model_1d_bytes: self.model_1d.as_ref().map(|m| match m {
+                Ok(frozen) => frozen.weight_bytes(),
+                // Undecodable: sessions fail to build; charge the nominal size.
+                Err(bundle) => bundle.arch.param_count() * 4,
+            }),
             model_2d_hidden: self.model_2d.as_ref().map(|m| m.hidden.clone()),
             has_registry: self.registry.is_some(),
         }
@@ -320,7 +320,8 @@ impl Engine {
             Backend::Dl1D => {
                 let ncells = spec.domain.cells();
                 let output = match &self.model_1d {
-                    Some(bundle) => dl::bundle_output_cells(bundle),
+                    Some(Ok(frozen)) => frozen.output_len(),
+                    Some(Err(bundle)) => bundle.arch.output_len(),
                     None => spec.scale.mlp_arch().output_len(),
                 };
                 if output != ncells {
@@ -332,21 +333,18 @@ impl Engine {
                         ),
                     });
                 }
-                if let Some(frozen) = &self.frozen_1d {
-                    // Explicit model, frozen form: every session shares
-                    // the one allocation.
-                    return Ok(Box::new(frozen.solver()));
-                }
-                if let Some(bundle) = &self.model_1d {
-                    // Unfreezable (CNN) explicit model: per-session copy.
-                    return Ok(Box::new(bundle.solver()?));
+                match &self.model_1d {
+                    // Explicit model: every session shares the one
+                    // allocation.
+                    Some(Ok(frozen)) => return Ok(Box::new(frozen.solver())),
+                    // Undecodable parameters: freezing again re-raises
+                    // the decode error.
+                    Some(Err(bundle)) => return Ok(Box::new(bundle.freeze()?.solver())),
+                    None => {}
                 }
                 if let Some(registry) = &self.registry {
-                    let (bundle, frozen) = lock(registry).model_1d(spec)?;
-                    return match frozen {
-                        Some(frozen) => Ok(Box::new(frozen.solver())),
-                        None => Ok(Box::new(bundle.solver()?)),
-                    };
+                    let (_, frozen) = lock(registry).model_1d(spec)?;
+                    return Ok(Box::new(frozen.solver()));
                 }
                 // Untrained fallback, shared per scale.
                 let model = {
@@ -376,36 +374,25 @@ impl Engine {
             Backend::Dl2D => {
                 let nodes = spec.domain.cells();
                 if let Some(model) = &self.model_2d {
-                    let frozen = {
-                        let cache = lock(&self.frozen_2d);
-                        cache
-                            .iter()
-                            .find(|(n, _)| *n == nodes)
-                            .map(|(_, f)| f.clone())
-                    };
-                    let frozen = match frozen {
-                        Some(frozen) => Some(frozen),
+                    let cached = lock(&self.frozen_2d)
+                        .iter()
+                        .find(|(n, _)| *n == nodes)
+                        .map(|(_, f)| f.clone());
+                    let frozen = match cached {
+                        Some(frozen) => frozen,
                         None => {
-                            // Freeze once per grid; `into_solver` still
-                            // validates the parameter shapes.
-                            let solver = model.into_solver(&spec.grid_2d())?;
-                            match solver.freeze(Precision::F32) {
-                                Ok(frozen) => {
-                                    lock(&self.frozen_2d).push((nodes, frozen.clone()));
-                                    Some(frozen)
-                                }
-                                Err(_) => return Ok(Box::new(solver)),
-                            }
+                            // Freeze once per grid; `freeze` validates the
+                            // parameter shapes.
+                            let frozen = model.freeze(&spec.grid_2d(), Precision::F32)?;
+                            lock(&self.frozen_2d).push((nodes, frozen.clone()));
+                            frozen
                         }
                     };
-                    return Ok(Box::new(frozen.expect("frozen or early-returned").solver()));
+                    return Ok(Box::new(frozen.solver()));
                 }
                 if let Some(registry) = &self.registry {
-                    let (model, frozen) = lock(registry).model_2d(spec)?;
-                    return match frozen {
-                        Some(frozen) => Ok(Box::new(frozen.solver())),
-                        None => Ok(Box::new(model.into_solver(&spec.grid_2d())?)),
-                    };
+                    let (_, frozen) = lock(registry).model_2d(spec)?;
+                    return Ok(Box::new(frozen.solver()));
                 }
                 // Untrained fallback, shared per (scale, grid).
                 let model = {
@@ -432,8 +419,7 @@ impl Engine {
 /// the engine.
 #[derive(Debug, Clone)]
 pub struct WeightProfiler {
-    frozen_1d_bytes: Option<usize>,
-    has_model_1d: bool,
+    model_1d_bytes: Option<usize>,
     model_2d_hidden: Option<Vec<usize>>,
     has_registry: bool,
 }
@@ -444,11 +430,8 @@ impl WeightProfiler {
     pub fn profile(&self, spec: &ScenarioSpec, backend: Backend) -> Option<(String, usize)> {
         match backend {
             Backend::Dl1D => {
-                if let Some(bytes) = self.frozen_1d_bytes {
+                if let Some(bytes) = self.model_1d_bytes {
                     Some(("dl1d|model".to_string(), bytes))
-                } else if self.has_model_1d {
-                    // Unfreezable (CNN) explicit model: per-session copies.
-                    None
                 } else {
                     let bytes = spec.scale.mlp_arch().param_count() * 4;
                     let key = if self.has_registry {

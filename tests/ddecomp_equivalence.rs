@@ -10,11 +10,13 @@ use dlpic_repro::core::normalize::NormStats;
 use dlpic_repro::core::phase_space::{BinningShape, PhaseGridSpec};
 use dlpic_repro::ddecomp::sim::{DistConfig, DistSimulation};
 use dlpic_repro::ddecomp::strategy::{GatherScatter, ReplicatedDl};
+use dlpic_repro::nn::Precision;
 use dlpic_repro::pic::grid::Grid1D;
 use dlpic_repro::pic::init::TwoStreamInit;
 use dlpic_repro::pic::shape::Shape;
 use dlpic_repro::pic::simulation::{PicConfig, Simulation};
 use dlpic_repro::pic::solver::{PoissonKind, TraditionalSolver};
+use std::sync::Arc;
 
 fn dist_config(n_ranks: usize, n_steps: usize) -> DistConfig {
     DistConfig {
@@ -115,7 +117,7 @@ fn tiny_dl_solver() -> DlFieldSolver {
         output: 64,
     };
     DlFieldSolver::new(
-        arch.build(0),
+        Arc::new(arch.build(0).freeze(Precision::F32)),
         spec,
         BinningShape::Ngp,
         NormStats::identity(),

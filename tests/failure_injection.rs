@@ -76,7 +76,43 @@ fn bundle_round_trips_unharmed() {
     let bytes = valid_bundle_bytes();
     let decoded = ModelBundle::decode(&bytes).expect("valid bundle decodes");
     assert_eq!(decoded.encode(), bytes, "re-encode is byte-identical");
-    assert!(decoded.into_solver().is_ok());
+    assert!(decoded.freeze().is_ok());
+}
+
+#[test]
+fn undecodable_bundle_fails_every_session_build_with_a_bundle_error() {
+    // The engine freezes a configured bundle once, up front; a bundle
+    // whose parameters do not fit its architecture must not panic there,
+    // nor fall back to an untrained model — every DL session build
+    // reports the decode failure as a typed error.
+    use dlpic_repro::core::Scale;
+    use dlpic_repro::engine::{self, Backend, Engine, EngineError};
+
+    let arch = Scale::Smoke.mlp_arch();
+    let mut net = arch.build(0);
+    let mut bundle = ModelBundle::from_network(
+        &mut net,
+        arch,
+        Scale::Smoke.phase_spec(),
+        BinningShape::Ngp,
+        NormStats::identity(),
+    );
+    bundle.params.truncate(bundle.params.len() / 2);
+    let engine = Engine::new().with_model_1d(bundle);
+    let spec = engine::scenario("two_stream", Scale::Smoke).expect("registry");
+    for attempt in 0..2 {
+        match engine.start(&spec, Backend::Dl1D) {
+            Err(EngineError::Bundle(BundleError::Params(_))) => {}
+            Err(e) => panic!("attempt {attempt}: wrong error: {e}"),
+            Ok(_) => panic!("attempt {attempt}: built a session from undecodable params"),
+        }
+    }
+    assert!(matches!(
+        engine.start_ensemble(std::slice::from_ref(&spec), Backend::Dl1D),
+        Err(EngineError::Bundle(_))
+    ));
+    // Model-free backends on the same engine are unaffected.
+    assert!(engine.start(&spec, Backend::Traditional1D).is_ok());
 }
 
 // ---------------------------------------------------------------------
@@ -166,7 +202,7 @@ fn solver_with_nan_weights_propagates_not_panics() {
         }
     });
     let mut solver = DlFieldSolver::new(
-        net,
+        std::sync::Arc::new(net.freeze(dlpic_repro::nn::Precision::F32)),
         spec,
         BinningShape::Ngp,
         NormStats::identity(),

@@ -4,7 +4,8 @@
 //!   one allocation serves N sessions, and `Ensemble::weight_footprint`
 //!   charges it once;
 //! * a fleet running a quick-trained bundle is bit-identical to solo runs
-//!   at 1 and 3 worker threads, and survives checkpoint/resume;
+//!   at 1 and 3 worker threads, and survives checkpoint/resume — and so is
+//!   a CNN fleet, which shares one weight allocation like the MLP;
 //! * checkpoints serialize solver *state*, never weights — resuming a
 //!   16-run fleet must not inflate into 16 private weight copies on disk;
 //! * the model registry trains once per (scenario, scale, seed), shares
@@ -18,7 +19,7 @@
 use std::sync::{Arc, OnceLock};
 
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
-use dlpic_repro::core::{ModelBundle, Scale};
+use dlpic_repro::core::{BinningShape, ModelBundle, NormStats, Scale};
 use dlpic_repro::engine::{
     self, dl, Backend, DomainSpec, EnergyHistory, Engine, EngineError, ModelRegistry,
 };
@@ -150,6 +151,63 @@ fn trained_fleet_is_bit_identical_to_solo_and_shares_weights() {
 }
 
 #[test]
+fn cnn_fleet_shares_one_allocation_and_is_bit_identical_to_solo() {
+    // The CNN freezes like the MLP: an explicit CNN bundle gives every
+    // fleet session the same weight storage, and the cohort-batched
+    // conv inference reproduces solo runs bit for bit.
+    let scale = Scale::Smoke;
+    let arch = scale.cnn_arch();
+    let mut net = arch.build(5);
+    let weight_bytes = net.param_count() * 4;
+    let norm = NormStats {
+        min: 0.0,
+        max: 300.0,
+    };
+    let bundle =
+        ModelBundle::from_network(&mut net, arch, scale.phase_spec(), BinningShape::Ngp, norm);
+    let specs = fan("two_stream", 12, &[21, 22, 23]);
+
+    let solo: Vec<EnergyHistory> = specs
+        .iter()
+        .map(|spec| {
+            Engine::new()
+                .with_model_1d(bundle.clone())
+                .run(spec, Backend::Dl1D)
+                .expect("solo run")
+                .history
+        })
+        .collect();
+
+    for threads in [1usize, 3] {
+        let engine = Engine::new().with_model_1d(bundle.clone());
+        let mut ensemble = engine
+            .start_ensemble(&specs, Backend::Dl1D)
+            .expect("start ensemble");
+        let ids: Vec<usize> = ensemble
+            .sessions()
+            .iter()
+            .map(|s| s.weight_storage().expect("DL session reports weights").0)
+            .collect();
+        assert!(
+            ids.iter().all(|&id| id == ids[0]),
+            "CNN sessions hold private weight copies: {ids:?}"
+        );
+        assert_eq!(ensemble.weight_footprint(), (1, weight_bytes));
+
+        ensemble.run_to_end(threads);
+        let histories: Vec<EnergyHistory> =
+            ensemble.finish().into_iter().map(|s| s.history).collect();
+        assert_eq!(histories.len(), solo.len());
+        for (i, (got, want)) in histories.iter().zip(&solo).enumerate() {
+            assert_eq!(
+                got, want,
+                "threads={threads}: CNN run {i} differs from solo"
+            );
+        }
+    }
+}
+
+#[test]
 fn checkpoints_carry_no_weights_and_resume_bit_identical() {
     let bundle = trained_smoke_bundle();
     let mut spec = engine::scenario("two_stream", Scale::Smoke).expect("registry");
@@ -256,7 +314,10 @@ fn registry_lru_evicts_by_bytes_and_prune_releases_everything() {
     spec_b.seed = 2;
 
     let (bundle_a, frozen_a) = reg.model_1d(&spec_a).expect("train a");
-    assert!(frozen_a.is_some(), "MLP must have a frozen form");
+    assert!(
+        frozen_a.weight_bytes() > 0,
+        "the registry freezes what it trains"
+    );
     let stats = reg.stats();
     assert_eq!((stats.misses, stats.entries, stats.evictions), (1, 1, 0));
     assert!(
