@@ -1,5 +1,5 @@
 //! Measures the engine facade's overhead against driving the solver
-//! crates directly, and records the baseline to `BENCH_engine.json`.
+//! crates directly.
 //!
 //! Two facade layers are measured, in 1-D and 2-D, at physics-relevant
 //! particle counts:
@@ -9,15 +9,15 @@
 //!   `BackendSession::step`, one `Sample` allocation, history push and
 //!   observer fan-out per step, driven from the caller's loop.
 //!
-//! Both must be noise against the direct `Simulation::step` loop. With
-//! `--check` the binary gates the session dispatch overhead at <2%
-//! (override with `DLPIC_ENGINE_MAX_OVERHEAD`, in percent) and exits
-//! non-zero on failure — the CI perf-smoke job runs this form alongside
-//! the step/train throughput gates. Without `--check` it rewrites
-//! `BENCH_engine.json`.
+//! Both must be noise against the direct `Simulation::step` loop. CLI
+//! and gate: see `dlpic_bench::gate` (`gate::ENGINE`). `--check` gates
+//! the worse session dispatch overhead at 2% (`DLPIC_ENGINE_MAX_OVERHEAD`,
+//! in percent); `--write-bench` records `BENCH_engine.json`. The
+//! workloads are already CI-sized, so `--quick` changes nothing.
 //!
-//! Run: `cargo run -p dlpic-bench --release --bin engine_overhead`
+//! Run: `cargo run -p dlpic-bench --release --bin engine_overhead -- --check`
 
+use dlpic_bench::gate;
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::simulation::{PicConfig, Simulation};
 use dlpic_pic::solver::TraditionalSolver;
@@ -26,6 +26,7 @@ use dlpic_pic2d::init2d::TwoStream2DInit;
 use dlpic_pic2d::simulation2d::Pic2DConfig;
 use dlpic_pic2d::{Grid2D, Simulation2D, TraditionalSolver2D};
 use dlpic_repro::core::Scale;
+use dlpic_repro::engine::json::{obj, Json};
 use dlpic_repro::engine::{self, Backend, LoadingSpec};
 use std::time::Instant;
 
@@ -39,15 +40,15 @@ const PPC_2D: usize = 64;
 fn median_secs(mut run: impl FnMut()) -> f64 {
     // One warm-up.
     run();
-    let mut times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    gate::median(
+        (0..REPS)
+            .map(|_| {
+                let t0 = Instant::now();
+                run();
+                t0.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
 /// Overhead of `facade` over `direct` in percent, from the median of
@@ -61,7 +62,7 @@ fn paired_overhead_pct(mut direct: impl FnMut(), mut facade: impl FnMut()) -> f6
     const PAIR_REPS: usize = 11;
     direct();
     facade(); // warm-up
-    let mut ratios: Vec<f64> = (0..PAIR_REPS)
+    let ratios: Vec<f64> = (0..PAIR_REPS)
         .map(|_| {
             let t0 = Instant::now();
             direct();
@@ -72,8 +73,7 @@ fn paired_overhead_pct(mut direct: impl FnMut(), mut facade: impl FnMut()) -> f6
             f / d
         })
         .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    (ratios[ratios.len() / 2] - 1.0) * 100.0
+    (gate::median(ratios) - 1.0) * 100.0
 }
 
 fn spec_1d() -> engine::ScenarioSpec {
@@ -96,10 +96,21 @@ fn spec_2d() -> engine::ScenarioSpec {
     spec
 }
 
-fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    println!("== engine facade overhead vs direct crate drivers ==\n");
+/// One dimension's timings: the three medians (ms) and the paired
+/// overheads (%) of the run facade and the session loop.
+fn timings_json(particles: usize, steps: usize, ms: [f64; 3], overhead: [f64; 2]) -> Json {
+    obj(vec![
+        ("particles", Json::Num(particles as f64)),
+        ("steps", Json::Num(steps as f64)),
+        ("direct_ms", Json::Num(ms[0])),
+        ("engine_ms", Json::Num(ms[1])),
+        ("overhead_pct", Json::Num(overhead[0])),
+        ("session_ms", Json::Num(ms[2])),
+        ("session_overhead_pct", Json::Num(overhead[1])),
+    ])
+}
 
+fn measure(_quick: bool) -> Json {
     // --- 1-D: engine vs pic::Simulation with the identical setup. ------
     let mut run_direct_1d = || {
         let cfg = PicConfig {
@@ -170,78 +181,36 @@ fn main() {
     let oh_2d = paired_overhead_pct(&mut run_direct_2d, &mut run_engine_2d);
     let oh_session_2d = paired_overhead_pct(&mut run_direct_2d, &mut run_session_2d);
 
-    println!(
-        "1-D ({} particles, {STEPS_1D} steps, median of {REPS}):",
-        64 * PPC_1D
-    );
-    println!("  direct pic::Simulation : {:.2} ms", direct_1d * 1e3);
-    println!(
-        "  engine facade          : {:.2} ms  ({oh_1d:+.2}%)",
-        engine_1d * 1e3
-    );
-    println!(
-        "  session step loop      : {:.2} ms  ({oh_session_1d:+.2}%)",
-        session_1d * 1e3
-    );
-    println!(
-        "2-D ({} particles, {STEPS_2D} steps, median of {REPS}):",
-        32 * 32 * PPC_2D
-    );
-    println!("  direct Simulation2D    : {:.2} ms", direct_2d * 1e3);
-    println!(
-        "  engine facade          : {:.2} ms  ({oh_2d:+.2}%)",
-        engine_2d * 1e3
-    );
-    println!(
-        "  session step loop      : {:.2} ms  ({oh_session_2d:+.2}%)",
-        session_2d * 1e3
-    );
+    let ms = |secs: f64| secs * 1e3;
+    obj(vec![
+        ("reps", Json::Num(REPS as f64)),
+        (
+            "oned",
+            timings_json(
+                64 * PPC_1D,
+                STEPS_1D,
+                [ms(direct_1d), ms(engine_1d), ms(session_1d)],
+                [oh_1d, oh_session_1d],
+            ),
+        ),
+        (
+            "twod",
+            timings_json(
+                32 * 32 * PPC_2D,
+                STEPS_2D,
+                [ms(direct_2d), ms(engine_2d), ms(session_2d)],
+                [oh_2d, oh_session_2d],
+            ),
+        ),
+        // The gated number: the engine::run path is the session path,
+        // so gating the session covers both.
+        (
+            "worst_session_overhead_pct",
+            Json::Num(oh_session_1d.max(oh_session_2d)),
+        ),
+    ])
+}
 
-    if check {
-        // The CI gate: per-step session dispatch must stay under 2% of
-        // the direct solver loop (the engine::run path is the session
-        // path, so gating the session covers both).
-        let max_overhead: f64 = std::env::var("DLPIC_ENGINE_MAX_OVERHEAD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2.0);
-        let worst = oh_session_1d.max(oh_session_2d);
-        println!(
-            "\ngate: session dispatch overhead {worst:+.2}% (limit {max_overhead:.1}%, override with DLPIC_ENGINE_MAX_OVERHEAD)"
-        );
-        if worst > max_overhead {
-            println!("verdict: FAIL — session dispatch exceeds the gate");
-            std::process::exit(1);
-        }
-        println!("verdict: PASS");
-        return;
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"engine_overhead\",\n  \"reps\": {REPS},\n  \"oned\": {{\n    \"particles\": {},\n    \"steps\": {STEPS_1D},\n    \"direct_ms\": {:.3},\n    \"engine_ms\": {:.3},\n    \"overhead_pct\": {:.3},\n    \"session_ms\": {:.3},\n    \"session_overhead_pct\": {:.3}\n  }},\n  \"twod\": {{\n    \"particles\": {},\n    \"steps\": {STEPS_2D},\n    \"direct_ms\": {:.3},\n    \"engine_ms\": {:.3},\n    \"overhead_pct\": {:.3},\n    \"session_ms\": {:.3},\n    \"session_overhead_pct\": {:.3}\n  }}\n}}\n",
-        64 * PPC_1D,
-        direct_1d * 1e3,
-        engine_1d * 1e3,
-        oh_1d,
-        session_1d * 1e3,
-        oh_session_1d,
-        32 * 32 * PPC_2D,
-        direct_2d * 1e3,
-        engine_2d * 1e3,
-        oh_2d,
-        session_2d * 1e3,
-        oh_session_2d,
-    );
-    std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
-    println!("\nwrote BENCH_engine.json");
-
-    let pass = oh_1d < 2.0 && oh_2d < 2.0 && oh_session_1d < 2.0 && oh_session_2d < 2.0;
-    println!(
-        "verdict: {}",
-        if pass {
-            "PASS — run facade and session dispatch both under 2%"
-        } else {
-            "CHECK"
-        }
-    );
+fn main() {
+    gate::main(&gate::ENGINE, measure)
 }

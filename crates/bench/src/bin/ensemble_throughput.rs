@@ -26,32 +26,21 @@
 //! tolerance that gates bf16 adoption — see the README's precision
 //! contract).
 //!
-//! Usage (same conventions as `step_throughput`):
-//!
-//! * `ensemble_throughput` — full measurement, JSON printed to stdout.
-//! * `--out FILE` — write the raw measurement JSON to `FILE`.
-//! * `--write-bench` — measure and write `BENCH_ensemble.json`. Unlike
-//!   the step/train benches there is no separate pre-change baseline
-//!   file: the solo loop *is* the baseline (it is exactly the
-//!   hand-rolled `Engine::start` loop that predates the ensemble API),
-//!   so one measurement carries both sides of the comparison.
-//! * `--quick` — CI-sized workloads.
-//! * `--check` — compare against the committed `BENCH_ensemble.json`:
-//!   fails if the *live* batched-vs-solo speedup falls below
-//!   `DLPIC_ENSEMBLE_MIN_SPEEDUP` (default 1.5 — the committed target is
-//!   ≥ 2×; the gate is machine-relative, so no anchor is involved), or
-//!   if an absolute throughput regresses more than
-//!   `DLPIC_PERF_MAX_REGRESSION` (default 0.35 — wider than the
-//!   step/train gates because the ratio gate is the primary contract
-//!   and the anchor drifts ±15% on the dev container) after
-//!   calibration-anchor rescaling (3× derate on an AVX-512 ↔ portable
-//!   kernel mismatch, as in the train gate).
+//! CLI and gates: see `dlpic_bench::gate` (`gate::ENSEMBLE`). `--check`
+//! gates the live batched-vs-solo speedup (≥ 1.5×), the fleet's weight
+//! sharing (≤ 1.1× one copy), bf16's solo-inference speedup (≥ 1.3×) and
+//! growth-rate deviation (≤ 5%), and the anchor-rescaled absolute
+//! throughputs at a 35% backstop. `--write-bench` needs no separate
+//! baseline: the solo loop *is* the baseline (exactly the hand-rolled
+//! `Engine::start` loop that predates the ensemble API), so one
+//! measurement carries both sides of the comparison.
 
-use dlpic_bench::gate::{calibration_gflops, json_string_after, json_value_after, median};
+use dlpic_bench::gate::{self, calibration_gflops, median};
 use dlpic_nn::linalg::simd_level;
 use dlpic_nn::{FrozenModel, Precision, PredictWorkspace, Tensor};
 use dlpic_repro::core::pool;
 use dlpic_repro::core::Scale;
+use dlpic_repro::engine::json::{obj, Json};
 use dlpic_repro::engine::{self, dl, Backend, EnergyHistory, Engine};
 use std::time::Instant;
 
@@ -79,15 +68,9 @@ fn fleet_specs(steps: usize) -> Vec<engine::ScenarioSpec> {
         .collect()
 }
 
-#[derive(Clone, Copy)]
-struct FleetResult {
-    seconds: f64,
-    steps_per_sec: f64,
-}
-
 /// Times the hand-rolled loop: one session after another, each stepped
 /// to completion (construction excluded — both modes pay it equally).
-fn bench_solo(specs: &[engine::ScenarioSpec], reps: usize) -> FleetResult {
+fn bench_solo(specs: &[engine::ScenarioSpec], reps: usize) -> Json {
     let engine = Engine::new();
     let total_steps: usize = specs.iter().map(|s| s.n_steps).sum();
     let times: Vec<f64> = (0..reps)
@@ -105,15 +88,11 @@ fn bench_solo(specs: &[engine::ScenarioSpec], reps: usize) -> FleetResult {
             dt
         })
         .collect();
-    let seconds = median(times);
-    FleetResult {
-        seconds,
-        steps_per_sec: total_steps as f64 / seconds,
-    }
+    gate::fleet_json(total_steps, times)
 }
 
 /// Times `Ensemble::run_to_end(threads)` over the same fleet.
-fn bench_batched(specs: &[engine::ScenarioSpec], threads: usize, reps: usize) -> FleetResult {
+fn bench_batched(specs: &[engine::ScenarioSpec], threads: usize, reps: usize) -> Json {
     let engine = Engine::new();
     let total_steps: usize = specs.iter().map(|s| s.n_steps).sum();
     let times: Vec<f64> = (0..reps)
@@ -128,11 +107,7 @@ fn bench_batched(specs: &[engine::ScenarioSpec], threads: usize, reps: usize) ->
             dt
         })
         .collect();
-    let seconds = median(times);
-    FleetResult {
-        seconds,
-        steps_per_sec: total_steps as f64 / seconds,
-    }
+    gate::fleet_json(total_steps, times)
 }
 
 /// Asserts (on a mini-fleet) that batched histories reproduce solo runs
@@ -160,23 +135,10 @@ fn verify_bit_identity() {
     eprintln!("bit-identity: batched histories == solo histories (9-run fleet)");
 }
 
-/// Resident weight bytes of the fleet: the sharing headline.
-struct WeightFootprint {
-    /// One frozen f32 copy of the Paper-scale MLP.
-    single_copy_bytes: usize,
-    /// What 16 private copies would pin (the pre-sharing world).
-    fleet_per_copy_bytes: usize,
-    /// What the live 16-run ensemble actually pins, deduplicated by
-    /// `Session::weight_storage` allocation identity.
-    fleet_shared_bytes: usize,
-    /// Distinct weight allocations across the fleet (1 when sharing works).
-    distinct_models: usize,
-    /// One frozen bf16 copy of the same network (~half the f32 bytes).
-    bf16_single_copy_bytes: usize,
-}
-
-/// Builds the real 16-run fleet and reads its deduplicated weight bytes.
-fn measure_weights() -> WeightFootprint {
+/// Builds the real 16-run fleet and reads its deduplicated weight bytes
+/// (by `Session::weight_storage` allocation identity): one shared
+/// allocation against the 16 private copies of the pre-sharing world.
+fn measure_weights() -> Json {
     let specs = fleet_specs(1);
     let engine = Engine::new();
     let ensemble = engine
@@ -186,26 +148,22 @@ fn measure_weights() -> WeightFootprint {
     let net = Scale::Paper.mlp_arch().build(0xD15E);
     let single = net.freeze(Precision::F32).weight_bytes();
     let bf16 = net.freeze(Precision::Bf16).weight_bytes();
-    WeightFootprint {
-        single_copy_bytes: single,
-        fleet_per_copy_bytes: RUNS * single,
-        fleet_shared_bytes,
-        distinct_models,
-        bf16_single_copy_bytes: bf16,
-    }
+    obj(vec![
+        ("single_copy_bytes", Json::Num(single as f64)),
+        ("fleet_per_copy_bytes", Json::Num((RUNS * single) as f64)),
+        ("fleet_shared_bytes", Json::Num(fleet_shared_bytes as f64)),
+        ("distinct_models", Json::Num(distinct_models as f64)),
+        (
+            "fleet_vs_single_copy",
+            Json::Num(fleet_shared_bytes as f64 / single as f64),
+        ),
+        ("bf16_single_copy_bytes", Json::Num(bf16 as f64)),
+    ])
 }
 
 /// bf16 vs f32 inference on the solo shape (m = 1): GFLOP/s-equivalent
 /// (nominal 2·params FLOPs per solve over wall time — bf16 does the same
-/// arithmetic in f32 after decode, so the figure is comparable) plus the
-/// physics-tolerance check on the two-stream growth rate.
-struct Bf16Result {
-    f32_gflops: f64,
-    bf16_gflops: f64,
-    growth_f32: f64,
-    growth_bf16: f64,
-}
-
+/// arithmetic in f32 after decode, so the figure is comparable).
 fn bench_bf16_kernels(reps: usize) -> (f64, f64) {
     let arch = Scale::Paper.mlp_arch();
     let net = arch.build(0xD15E);
@@ -272,19 +230,7 @@ fn bf16_physics() -> (f64, f64) {
     (g_f32, g_bf16)
 }
 
-struct Measurement {
-    calibration: f64,
-    simd: &'static str,
-    steps: usize,
-    threads: usize,
-    solo: FleetResult,
-    batched_1t: FleetResult,
-    batched_mt: FleetResult,
-    weights: WeightFootprint,
-    bf16: Bf16Result,
-}
-
-fn measure(quick: bool) -> Measurement {
+fn measure(quick: bool) -> Json {
     let (steps, reps) = if quick { (30, 3) } else { (60, 5) };
     let threads = pool::available_threads();
     eprintln!("measuring calibration anchor...");
@@ -296,12 +242,6 @@ fn measure(quick: bool) -> Measurement {
     let (f32_gflops, bf16_gflops) = bench_bf16_kernels(reps);
     eprintln!("checking bf16 physics tolerance (quick-train + 2 smoke runs)...");
     let (growth_f32, growth_bf16) = bf16_physics();
-    let bf16 = Bf16Result {
-        f32_gflops,
-        bf16_gflops,
-        growth_f32,
-        growth_bf16,
-    };
     let specs = fleet_specs(steps);
     eprintln!("measuring solo loop ({RUNS} runs x {steps} steps x {reps} reps)...");
     let solo = bench_solo(&specs, reps);
@@ -315,277 +255,46 @@ fn measure(quick: bool) -> Measurement {
         // machine noise as "thread scaling", so reuse the 1-thread
         // numbers (speedup_threads = 1.0 by construction).
         eprintln!("1 core exposed: batched_mt = batched_1t");
-        batched_1t
+        batched_1t.clone()
     };
-    Measurement {
-        calibration,
-        simd: simd_level(),
-        steps,
-        threads,
-        solo,
-        batched_1t,
-        batched_mt,
-        weights,
-        bf16,
-    }
-}
-
-fn measurement_json(m: &Measurement, indent: &str) -> String {
-    let fleet = |f: &FleetResult| {
-        format!(
-            "{{\n{indent}    \"seconds\": {:.4},\n{indent}    \"session_steps_per_sec\": {:.3e}\n{indent}  }}",
-            f.seconds, f.steps_per_sec
-        )
+    let rate = |fleet: &Json| {
+        fleet
+            .field("session_steps_per_sec")
+            .and_then(Json::as_f64)
+            .expect("fleet rate")
     };
-    let weights = format!(
-        "{{\n{indent}    \"single_copy_bytes\": {},\n{indent}    \"fleet_per_copy_bytes\": {},\n{indent}    \"fleet_shared_bytes\": {},\n{indent}    \"distinct_models\": {},\n{indent}    \"fleet_vs_single_copy\": {:.3},\n{indent}    \"bf16_single_copy_bytes\": {}\n{indent}  }}",
-        m.weights.single_copy_bytes,
-        m.weights.fleet_per_copy_bytes,
-        m.weights.fleet_shared_bytes,
-        m.weights.distinct_models,
-        m.weights.fleet_shared_bytes as f64 / m.weights.single_copy_bytes as f64,
-        m.weights.bf16_single_copy_bytes,
-    );
-    let bf16 = format!(
-        "{{\n{indent}    \"f32_gflops\": {:.3},\n{indent}    \"bf16_gflops\": {:.3},\n{indent}    \"speedup_bf16\": {:.3},\n{indent}    \"growth_rate_f32\": {:.6},\n{indent}    \"growth_rate_bf16\": {:.6},\n{indent}    \"growth_rel_err\": {:.6}\n{indent}  }}",
-        m.bf16.f32_gflops,
-        m.bf16.bf16_gflops,
-        m.bf16.bf16_gflops / m.bf16.f32_gflops,
-        m.bf16.growth_f32,
-        m.bf16.growth_bf16,
-        (m.bf16.growth_bf16 - m.bf16.growth_f32).abs() / m.bf16.growth_f32.abs(),
-    );
-    format!(
-        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"runs\": {RUNS},\n{indent}  \"steps\": {},\n{indent}  \"ppc\": {PPC},\n{indent}  \"threads\": {},\n{indent}  \"solo\": {},\n{indent}  \"batched_1t\": {},\n{indent}  \"batched_mt\": {},\n{indent}  \"weights\": {weights},\n{indent}  \"bf16\": {bf16},\n{indent}  \"speedup_batched\": {:.3},\n{indent}  \"speedup_threads\": {:.3}\n{indent}}}",
-        m.calibration,
-        m.simd,
-        m.steps,
-        m.threads,
-        fleet(&m.solo),
-        fleet(&m.batched_1t),
-        fleet(&m.batched_mt),
-        m.batched_1t.steps_per_sec / m.solo.steps_per_sec,
-        m.batched_mt.steps_per_sec / m.batched_1t.steps_per_sec,
-    )
-}
-
-fn print_human(m: &Measurement) {
-    println!(
-        "solo loop   : {:.0} session·steps/s ({:.3}s)",
-        m.solo.steps_per_sec, m.solo.seconds
-    );
-    println!(
-        "batched (1t): {:.0} session·steps/s ({:.3}s)  -> {:.2}x vs solo",
-        m.batched_1t.steps_per_sec,
-        m.batched_1t.seconds,
-        m.batched_1t.steps_per_sec / m.solo.steps_per_sec
-    );
-    println!(
-        "batched ({}t): {:.0} session·steps/s ({:.3}s)  -> {:.2}x vs 1t",
-        m.threads,
-        m.batched_mt.steps_per_sec,
-        m.batched_mt.seconds,
-        m.batched_mt.steps_per_sec / m.batched_1t.steps_per_sec
-    );
-    let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
-    println!(
-        "fleet weights: {:.1} MB shared across {} runs ({} model{}) vs {:.1} MB per-copy; \
-         one copy {:.1} MB f32 / {:.1} MB bf16",
-        mb(m.weights.fleet_shared_bytes),
-        RUNS,
-        m.weights.distinct_models,
-        if m.weights.distinct_models == 1 {
-            ""
-        } else {
-            "s"
-        },
-        mb(m.weights.fleet_per_copy_bytes),
-        mb(m.weights.single_copy_bytes),
-        mb(m.weights.bf16_single_copy_bytes),
-    );
-    println!(
-        "bf16 solo inference: {:.2} GFLOP/s-eq vs {:.2} f32 -> {:.2}x; growth rate {:.4} \
-         vs {:.4} f32 ({:+.2}%)",
-        m.bf16.bf16_gflops,
-        m.bf16.f32_gflops,
-        m.bf16.bf16_gflops / m.bf16.f32_gflops,
-        m.bf16.growth_bf16,
-        m.bf16.growth_f32,
-        (m.bf16.growth_bf16 / m.bf16.growth_f32 - 1.0) * 100.0,
-    );
-}
-
-fn check(m: &Measurement) -> i32 {
-    // Gate 1 (machine-relative, always active): the batched scheduler
-    // must actually amortize — live speedup over the solo loop.
-    let min_speedup: f64 = std::env::var("DLPIC_ENSEMBLE_MIN_SPEEDUP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.5);
-    let speedup = m.batched_1t.steps_per_sec / m.solo.steps_per_sec;
-    println!("batched/solo speedup: {speedup:.2}x (gate: >= {min_speedup:.2}x)");
-    let mut failed = speedup < min_speedup;
-    if failed {
-        println!("FAIL: batched ensemble no longer amortizes the DL inference");
-    }
-
-    // Gate 1b (machine-independent): the 16-run fleet must pin at most
-    // 1.1x one weight copy — the Arc-sharing contract. Any private copy
-    // sneaking back in jumps the ratio to >= 2x, far past the gate.
-    let weight_ratio = m.weights.fleet_shared_bytes as f64 / m.weights.single_copy_bytes as f64;
-    println!(
-        "fleet/single-copy weight bytes: {weight_ratio:.3}x across {} distinct model(s) \
-         (gate: <= 1.10x)",
-        m.weights.distinct_models
-    );
-    if weight_ratio > 1.10 {
-        failed = true;
-        println!("FAIL: fleet weights are no longer shared (private copies per session?)");
-    }
-
-    // Gate 1c (machine-relative): bf16 storage must beat f32 on the
-    // memory-bound solo inference it exists for.
-    let min_bf16: f64 = std::env::var("DLPIC_BF16_MIN_SPEEDUP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.3);
-    let bf16_speedup = m.bf16.bf16_gflops / m.bf16.f32_gflops;
-    println!("bf16/f32 solo inference: {bf16_speedup:.2}x (gate: >= {min_bf16:.2}x)");
-    if bf16_speedup < min_bf16 {
-        failed = true;
-        println!("FAIL: bf16 weight storage no longer pays for its precision loss");
-    }
-
-    // Gate 1d (physics): bf16 must reproduce the f32 two-stream growth
-    // rate within tolerance — the contract that gates bf16 adoption.
-    let growth_tol: f64 = std::env::var("DLPIC_BF16_GROWTH_TOL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.05);
-    let growth_err = (m.bf16.growth_bf16 - m.bf16.growth_f32).abs() / m.bf16.growth_f32.abs();
-    println!(
-        "bf16 growth-rate deviation: {:.3}% (gate: <= {:.1}%)",
-        growth_err * 100.0,
-        growth_tol * 100.0
-    );
-    if growth_err > growth_tol {
-        failed = true;
-        println!("FAIL: bf16 inference drifts the two-stream growth rate past tolerance");
-    }
-
-    // Gate 2: absolute throughput vs the committed numbers, rescaled by
-    // the calibration anchor.
-    let text = match std::fs::read_to_string("BENCH_ensemble.json") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read BENCH_ensemble.json: {e}");
-            return 2;
-        }
-    };
-    let Some(cur_at) = text.find("\"current\"") else {
-        eprintln!("BENCH_ensemble.json has no \"current\" section");
-        return 2;
-    };
-    let scale = match json_value_after(&text, cur_at, "calibration_gflops") {
-        Some(cal) if cal > 0.0 => {
-            let s = m.calibration / cal;
-            println!(
-                "calibration: committed {cal:.2} GFLOP/s, this machine {:.2} (scale {s:.2}x)",
-                m.calibration
-            );
-            s
-        }
-        _ => 1.0,
-    };
-    // The DL-inference workload is f32-kernel-bound while the anchor is
-    // f64: across an AVX-512 <-> portable dispatch mismatch the anchor
-    // cannot track it, so derate 3x (same policy as the train gate).
-    let derate = match json_string_after(&text, cur_at, "simd").as_deref() {
-        Some(committed) if committed != m.simd => {
-            println!(
-                "kernel-path mismatch (committed {committed}, this machine {}): derating \
-                 absolute expectations 3x",
-                m.simd
-            );
-            3.0
-        }
-        _ => 1.0,
-    };
-    // Wider default than the step/train gates (0.35 vs 0.25): the
-    // absolute check is the secondary backstop here (the primary,
-    // machine-relative contract is the speedup ratio above), and the
-    // f64 anchor swings ~±15% run-to-run on the dev container while the
-    // fleet workload is steadier — a 25% gate would flake on anchor
-    // drift alone.
-    let tolerance: f64 = std::env::var("DLPIC_PERF_MAX_REGRESSION")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.35);
-    let committed = |section: &str| {
-        let at = text[cur_at..].find(&format!("\"{section}\""))? + cur_at;
-        json_value_after(&text, at, "session_steps_per_sec")
-    };
-    for (name, measured) in [
-        ("solo", m.solo.steps_per_sec),
-        ("batched_1t", m.batched_1t.steps_per_sec),
-    ] {
-        let Some(base) = committed(name) else {
-            eprintln!("BENCH_ensemble.json has no parsable \"{name}\" section");
-            return 2;
-        };
-        let expected = base * scale / derate;
-        let delta = measured / expected - 1.0;
-        let verdict = if delta < -tolerance {
-            failed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "{name:>10}: expected {expected:.3e}, measured {measured:.3e} ({:+.1}%) {verdict}",
-            delta * 100.0
-        );
-    }
-    if failed {
-        println!("FAIL: ensemble throughput gate");
-        1
-    } else {
-        println!("PASS: ensemble throughput within tolerance");
-        0
-    }
+    let speedup_batched = rate(&batched_1t) / rate(&solo);
+    let speedup_threads = rate(&batched_mt) / rate(&batched_1t);
+    obj(vec![
+        ("calibration_gflops", Json::Num(calibration)),
+        ("simd", Json::Str(simd_level().into())),
+        ("runs", Json::Num(RUNS as f64)),
+        ("steps", Json::Num(steps as f64)),
+        ("ppc", Json::Num(PPC as f64)),
+        ("threads", Json::Num(threads as f64)),
+        ("solo", solo),
+        ("batched_1t", batched_1t),
+        ("batched_mt", batched_mt),
+        ("weights", weights),
+        (
+            "bf16",
+            obj(vec![
+                ("f32_gflops", Json::Num(f32_gflops)),
+                ("bf16_gflops", Json::Num(bf16_gflops)),
+                ("speedup_bf16", Json::Num(bf16_gflops / f32_gflops)),
+                ("growth_rate_f32", Json::Num(growth_f32)),
+                ("growth_rate_bf16", Json::Num(growth_bf16)),
+                (
+                    "growth_rel_err",
+                    Json::Num((growth_bf16 - growth_f32).abs() / growth_f32.abs()),
+                ),
+            ]),
+        ),
+        ("speedup_batched", Json::Num(speedup_batched)),
+        ("speedup_threads", Json::Num(speedup_threads)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let do_check = args.iter().any(|a| a == "--check");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    let m = measure(quick);
-    print_human(&m);
-
-    if let Some(path) = flag_value("--out") {
-        std::fs::write(&path, measurement_json(&m, "") + "\n").expect("write --out file");
-        println!("wrote {path}");
-    }
-
-    if args.iter().any(|a| a == "--write-bench") {
-        let json = format!(
-            "{{\n  \"bench\": \"ensemble_throughput\",\n  \"note\": \"single-machine; compare the speedup ratios, not cross-machine absolutes. solo = the hand-rolled Engine::start loop the ensemble API replaces (the pre-ensemble baseline)\",\n  \"current\": {},\n  \"speedup\": {{\n    \"batched_1t_vs_solo\": {:.3},\n    \"batched_mt_vs_1t\": {:.3}\n  }}\n}}\n",
-            measurement_json(&m, "  "),
-            m.batched_1t.steps_per_sec / m.solo.steps_per_sec,
-            m.batched_mt.steps_per_sec / m.batched_1t.steps_per_sec,
-        );
-        std::fs::write("BENCH_ensemble.json", &json).expect("write BENCH_ensemble.json");
-        println!("wrote BENCH_ensemble.json");
-    }
-
-    if do_check {
-        std::process::exit(check(&m));
-    }
+    gate::main(&gate::ENSEMBLE, measure)
 }

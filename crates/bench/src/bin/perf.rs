@@ -7,14 +7,20 @@
 //! linear system that involves more operations than the
 //! prediction/inference step". This binary measures both stages — plus the
 //! stages they share — so the claim can be evaluated quantitatively on
-//! this hardware. Criterion microbenches of the same kernels live in
-//! `benches/`.
+//! this hardware: the 1-D pipeline stage by stage with the trained MLP,
+//! then the 2-D extension (SOR vs spectral Poisson on 64×64, density
+//! binning and the traditional vs DL-MLP field solve over 128k particles
+//! on 32×32). It is a report, not a gate; the perf gates are the
+//! `*_throughput` and `engine_overhead` binaries (`dlpic_bench::gate`).
 //!
 //! Run: `cargo run -p dlpic-bench --release --bin perf [--scale ...]`
 
 use dlpic_analytics::series::Table;
 use dlpic_bench::{get_or_train_mlp, out_dir, Cli};
+use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{bin_phase_space, BinningShape};
+use dlpic_core::twod::{arch_2d, bin_density, DensityBinning, Dl2DFieldSolver};
+use dlpic_nn::Precision;
 use dlpic_pic::deposit::{add_uniform_background, deposit_charge};
 use dlpic_pic::efield::efield_from_phi;
 use dlpic_pic::gather::gather_field;
@@ -23,6 +29,11 @@ use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::poisson::{FdPoisson, PoissonSolver, SpectralPoisson};
 use dlpic_pic::shape::Shape;
 use dlpic_pic::solver::FieldSolver as _;
+use dlpic_pic2d::grid2d::Grid2D;
+use dlpic_pic2d::init2d::TwoStream2DInit;
+use dlpic_pic2d::poisson2d::{Poisson2DSolver, SorPoisson2D, SpectralPoisson2D};
+use dlpic_pic2d::solver2d::{FieldSolver2D, TraditionalSolver2D};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Times `f` over enough repetitions for a stable estimate; returns
@@ -130,11 +141,69 @@ fn main() {
     ]);
     table.row(&["TOTAL field solve".into(), "dl-based".into(), f(t_dl_total)]);
     table.row(&["field gather (shared)".into(), "both".into(), f(t_gather)]);
+
+    // 2-D extension: the two Poisson backends on a 64×64 mode-(1,1)
+    // source, then both field solves over 128k particles on 32×32.
+    let grid = Grid2D::new(64, 64, 2.0532, 2.0532);
+    let (kx, ky) = (grid.mode_wavenumber_x(1), grid.mode_wavenumber_y(1));
+    let mut rho = grid.zeros();
+    for iy in 0..grid.ny() {
+        for ix in 0..grid.nx() {
+            let (x, y) = (ix as f64 * grid.dx(), iy as f64 * grid.dy());
+            rho[grid.index(ix, iy)] = (kx * kx + ky * ky) * (kx * x).cos() * (ky * y).cos();
+        }
+    }
+    let mut phi = grid.zeros();
+    let mut sor = SorPoisson2D {
+        tolerance: 1e-8,
+        ..Default::default()
+    };
+    let t_sor = time_us(|| sor.solve(&grid, &rho, &mut phi), 20);
+    let mut spectral = SpectralPoisson2D::new();
+    let t_spectral = time_us(|| spectral.solve(&grid, &rho, &mut phi), 200);
+    let grid = Grid2D::new(32, 32, 2.0532, 2.0532);
+    let particles = TwoStream2DInit::random(0.2, 0.01, 131_072, 5).build(&grid);
+    let (mut ex, mut ey) = (grid.zeros(), grid.zeros());
+    let mut traditional = TraditionalSolver2D::default_config();
+    let t_trad_2d = time_us(
+        || traditional.solve(&particles, &grid, &mut ex, &mut ey),
+        20,
+    );
+    let mut density = vec![0.0f32; grid.nodes()];
+    let t_bin_2d = time_us(
+        || bin_density(&particles, &grid, DensityBinning::Cic, &mut density),
+        20,
+    );
+    let mut dl = Dl2DFieldSolver::new(
+        Arc::new(arch_2d(&grid, vec![256]).build(0).freeze(Precision::F32)),
+        DensityBinning::Cic,
+        NormStats::identity(),
+        "dl-2d",
+    );
+    let t_dl_2d = time_us(|| dl.solve(&particles, &grid, &mut ex, &mut ey), 20);
+    for (stage, method, us) in [
+        ("2-D Poisson solve (SOR, 64x64)", "traditional", t_sor),
+        (
+            "2-D Poisson solve (spectral, 64x64)",
+            "traditional",
+            t_spectral,
+        ),
+        (
+            "2-D TOTAL field solve (128k, 32x32)",
+            "traditional",
+            t_trad_2d,
+        ),
+        ("2-D density binning (128k, CIC)", "dl-based", t_bin_2d),
+        ("2-D TOTAL field solve (MLP 256)", "dl-based", t_dl_2d),
+    ] {
+        table.row(&[stage.into(), method.into(), f(us)]);
+    }
     println!("{}", table.render());
 
     println!(
-        "ratio DL/traditional field solve: {:.2}x",
-        t_dl_total / trad_solve
+        "ratio DL/traditional field solve: {:.2}x (1-D), {:.2}x (2-D)",
+        t_dl_total / trad_solve,
+        t_dl_2d / t_trad_2d
     );
     println!();
     println!("notes: the paper's argument concerns the *linear solve* vs *inference*");

@@ -18,28 +18,18 @@
 //! Before timing, the binary verifies on a mini-fleet that histories
 //! served through the daemon are bit-identical to solo runs.
 //!
-//! Usage (same conventions as `ensemble_throughput`):
-//!
-//! * `serve_throughput` — full measurement, JSON printed to stdout.
-//! * `--out FILE` — write the raw measurement JSON to `FILE`.
-//! * `--write-bench` — measure and write `BENCH_serve.json`.
-//! * `--quick` — CI-sized workloads.
-//! * `--check` — fail if the live served/direct ratio falls below
-//!   `DLPIC_SERVE_MIN_RATIO` (default 0.9), or if an absolute
-//!   throughput regresses more than `DLPIC_PERF_MAX_REGRESSION`
-//!   (default 0.35) against the committed `BENCH_serve.json` after
-//!   calibration-anchor rescaling (3× derate on a kernel-path
-//!   mismatch, as in the ensemble gate), or if the daemon's per-wave
-//!   latency p99 exceeds the committed `served_wave_p99_ms` by more
-//!   than `DLPIC_SERVE_MAX_P99_FACTOR` (default 3) after the same
-//!   rescaling.
+//! CLI and gates: see `dlpic_bench::gate` (`gate::SERVE`). `--check`
+//! gates the live served/direct ratio (≥ 0.9×), the anchor-rescaled
+//! absolute throughputs at a 35% backstop, and the daemon's per-wave
+//! latency p99 at 3× the committed `served_wave_p99_ms` after the same
+//! rescaling.
 
 use std::time::{Duration, Instant};
 
-use dlpic_bench::gate::{calibration_gflops, json_string_after, json_value_after, median};
+use dlpic_bench::gate::{self, calibration_gflops, median};
 use dlpic_nn::linalg::simd_level;
 use dlpic_repro::core::Scale;
-use dlpic_repro::engine::json::Json;
+use dlpic_repro::engine::json::{obj, Json};
 use dlpic_repro::engine::{self, Backend, EnergyHistory, Engine, SweepSpec};
 use dlpic_serve::client::Client;
 use dlpic_serve::job::JobRequest;
@@ -64,15 +54,9 @@ fn fleet_specs(steps: usize) -> Vec<engine::ScenarioSpec> {
     specs
 }
 
-#[derive(Clone, Copy)]
-struct FleetResult {
-    seconds: f64,
-    steps_per_sec: f64,
-}
-
 /// Times `Ensemble::run_to_end(1)` over the fleet (construction
 /// excluded — the daemon's meter excludes it too).
-fn bench_direct(specs: &[engine::ScenarioSpec], reps: usize) -> FleetResult {
+fn bench_direct(specs: &[engine::ScenarioSpec], reps: usize) -> Json {
     let engine = Engine::new();
     let total_steps: usize = specs.iter().map(|s| s.n_steps).sum();
     let times: Vec<f64> = (0..reps)
@@ -87,17 +71,13 @@ fn bench_direct(specs: &[engine::ScenarioSpec], reps: usize) -> FleetResult {
             dt
         })
         .collect();
-    let seconds = median(times);
-    FleetResult {
-        seconds,
-        steps_per_sec: total_steps as f64 / seconds,
-    }
+    gate::fleet_json(total_steps, times)
 }
 
 /// Submits the fleet as one sweep job to a fresh in-process daemon and
 /// reads its `stepping_seconds` meter (and the wave-latency histogram's
 /// p99) once every run is done.
-fn bench_served(steps: usize, reps: usize) -> (FleetResult, f64) {
+fn bench_served(steps: usize, reps: usize) -> (Json, f64) {
     let total_steps = RUNS * steps;
     let samples: Vec<(f64, f64)> = (0..reps)
         .map(|_| {
@@ -140,13 +120,9 @@ fn bench_served(steps: usize, reps: usize) -> (FleetResult, f64) {
             sample
         })
         .collect();
-    let seconds = median(samples.iter().map(|s| s.0).collect());
     let p99 = median(samples.iter().map(|s| s.1).collect());
     (
-        FleetResult {
-            seconds,
-            steps_per_sec: total_steps as f64 / seconds,
-        },
+        gate::fleet_json(total_steps, samples.iter().map(|s| s.0).collect()),
         p99,
     )
 }
@@ -181,17 +157,7 @@ fn verify_bit_identity() {
     eprintln!("bit-identity: served histories == solo histories (4-run fleet)");
 }
 
-struct Measurement {
-    calibration: f64,
-    simd: &'static str,
-    steps: usize,
-    direct: FleetResult,
-    served: FleetResult,
-    /// p99 of the daemon's per-wave latency histogram (median over reps).
-    wave_p99_ms: f64,
-}
-
-fn measure(quick: bool) -> Measurement {
+fn measure(quick: bool) -> Json {
     let (steps, reps) = if quick { (30, 3) } else { (60, 5) };
     eprintln!("measuring calibration anchor...");
     let calibration = calibration_gflops(reps);
@@ -201,199 +167,27 @@ fn measure(quick: bool) -> Measurement {
     let direct = bench_direct(&specs, reps);
     eprintln!("measuring served fleet through the daemon...");
     let (served, wave_p99_ms) = bench_served(steps, reps);
-    Measurement {
-        calibration,
-        simd: simd_level(),
-        steps,
-        direct,
-        served,
-        wave_p99_ms,
-    }
-}
-
-fn measurement_json(m: &Measurement, indent: &str) -> String {
-    let fleet = |f: &FleetResult| {
-        format!(
-            "{{\n{indent}    \"seconds\": {:.4},\n{indent}    \"session_steps_per_sec\": {:.3e}\n{indent}  }}",
-            f.seconds, f.steps_per_sec
-        )
+    let rate = |fleet: &Json| {
+        fleet
+            .field("session_steps_per_sec")
+            .and_then(Json::as_f64)
+            .expect("fleet rate")
     };
-    format!(
-        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"runs\": {RUNS},\n{indent}  \"steps\": {},\n{indent}  \"ppc\": {PPC},\n{indent}  \"direct\": {},\n{indent}  \"served\": {},\n{indent}  \"served_vs_direct\": {:.3},\n{indent}  \"served_wave_p99_ms\": {:.3}\n{indent}}}",
-        m.calibration,
-        m.simd,
-        m.steps,
-        fleet(&m.direct),
-        fleet(&m.served),
-        m.served.steps_per_sec / m.direct.steps_per_sec,
-        m.wave_p99_ms,
-    )
-}
-
-fn print_human(m: &Measurement) {
-    println!(
-        "direct ensemble: {:.0} session·steps/s ({:.3}s)",
-        m.direct.steps_per_sec, m.direct.seconds
-    );
-    println!(
-        "served daemon  : {:.0} session·steps/s ({:.3}s)  -> {:.3}x vs direct",
-        m.served.steps_per_sec,
-        m.served.seconds,
-        m.served.steps_per_sec / m.direct.steps_per_sec
-    );
-    println!(
-        "wave latency   : p99 {:.3}ms (daemon histogram)",
-        m.wave_p99_ms
-    );
-}
-
-fn check(m: &Measurement) -> i32 {
-    // Gate 1 (machine-relative, always active): serving must not tax the
-    // fleet more than 10%.
-    let min_ratio: f64 = std::env::var("DLPIC_SERVE_MIN_RATIO")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.9);
-    let ratio = m.served.steps_per_sec / m.direct.steps_per_sec;
-    println!("served/direct ratio: {ratio:.3}x (gate: >= {min_ratio:.2}x)");
-    let mut failed = ratio < min_ratio;
-    if failed {
-        println!("FAIL: the serving tier costs more than the allowed multiplexing overhead");
-    }
-
-    // Gate 2: absolute throughput vs the committed numbers, rescaled by
-    // the calibration anchor (same policy and tolerance rationale as the
-    // ensemble gate: the ratio above is the primary contract).
-    let text = match std::fs::read_to_string("BENCH_serve.json") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read BENCH_serve.json: {e}");
-            return 2;
-        }
-    };
-    let Some(cur_at) = text.find("\"current\"") else {
-        eprintln!("BENCH_serve.json has no \"current\" section");
-        return 2;
-    };
-    let scale = match json_value_after(&text, cur_at, "calibration_gflops") {
-        Some(cal) if cal > 0.0 => {
-            let s = m.calibration / cal;
-            println!(
-                "calibration: committed {cal:.2} GFLOP/s, this machine {:.2} (scale {s:.2}x)",
-                m.calibration
-            );
-            s
-        }
-        _ => 1.0,
-    };
-    let derate = match json_string_after(&text, cur_at, "simd").as_deref() {
-        Some(committed) if committed != m.simd => {
-            println!(
-                "kernel-path mismatch (committed {committed}, this machine {}): derating \
-                 absolute expectations 3x",
-                m.simd
-            );
-            3.0
-        }
-        _ => 1.0,
-    };
-    let tolerance: f64 = std::env::var("DLPIC_PERF_MAX_REGRESSION")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.35);
-    let committed = |section: &str| {
-        let at = text[cur_at..].find(&format!("\"{section}\""))? + cur_at;
-        json_value_after(&text, at, "session_steps_per_sec")
-    };
-    for (name, measured) in [
-        ("direct", m.direct.steps_per_sec),
-        ("served", m.served.steps_per_sec),
-    ] {
-        let Some(base) = committed(name) else {
-            eprintln!("BENCH_serve.json has no parsable \"{name}\" section");
-            return 2;
-        };
-        let expected = base * scale / derate;
-        let delta = measured / expected - 1.0;
-        let verdict = if delta < -tolerance {
-            failed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "{name:>10}: expected {expected:.3e}, measured {measured:.3e} ({:+.1}%) {verdict}",
-            delta * 100.0
-        );
-    }
-    // Gate 3: tail latency. The wave-latency histogram's p99 must stay
-    // within a factor of the committed number after the same
-    // calibration/derate rescaling (latency scales inversely with
-    // machine speed). p99 is read from a log-bucketed histogram and
-    // quick mode sees few waves, so the factor is generous — it catches
-    // an O(n) scan smuggled into the wave loop, not jitter.
-    let max_factor: f64 = std::env::var("DLPIC_SERVE_MAX_P99_FACTOR")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3.0);
-    match json_value_after(&text, cur_at, "served_wave_p99_ms") {
-        Some(base) if base > 0.0 => {
-            let bound = base / scale * derate * max_factor;
-            let verdict = if m.wave_p99_ms > bound {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            println!(
-                "  wave p99: committed {base:.3}ms, bound {bound:.3}ms, measured {:.3}ms {verdict}",
-                m.wave_p99_ms
-            );
-        }
-        _ => {
-            eprintln!("BENCH_serve.json has no parsable \"served_wave_p99_ms\"");
-            return 2;
-        }
-    }
-
-    if failed {
-        println!("FAIL: serve throughput gate");
-        1
-    } else {
-        println!("PASS: serve throughput within tolerance");
-        0
-    }
+    let served_vs_direct = rate(&served) / rate(&direct);
+    obj(vec![
+        ("calibration_gflops", Json::Num(calibration)),
+        ("simd", Json::Str(simd_level().into())),
+        ("runs", Json::Num(RUNS as f64)),
+        ("steps", Json::Num(steps as f64)),
+        ("ppc", Json::Num(PPC as f64)),
+        ("direct", direct),
+        ("served", served),
+        ("served_vs_direct", Json::Num(served_vs_direct)),
+        // p99 of the daemon's per-wave latency histogram (median over reps).
+        ("served_wave_p99_ms", Json::Num(wave_p99_ms)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let do_check = args.iter().any(|a| a == "--check");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    let m = measure(quick);
-    print_human(&m);
-
-    if let Some(path) = flag_value("--out") {
-        std::fs::write(&path, measurement_json(&m, "") + "\n").expect("write --out file");
-        println!("wrote {path}");
-    }
-
-    if args.iter().any(|a| a == "--write-bench") {
-        let json = format!(
-            "{{\n  \"bench\": \"serve_throughput\",\n  \"note\": \"single-machine; compare served_vs_direct, not cross-machine absolutes. direct = Ensemble::run_to_end(1) over the same 16-run paper-scale DL fleet; served = the daemon's stepping_seconds meter over one submitted sweep job\",\n  \"current\": {}\n}}\n",
-            measurement_json(&m, "  "),
-        );
-        std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-        println!("wrote BENCH_serve.json");
-    }
-
-    if do_check {
-        std::process::exit(check(&m));
-    }
+    gate::main(&gate::SERVE, measure)
 }

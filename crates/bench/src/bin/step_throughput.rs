@@ -1,4 +1,4 @@
-//! Single-core step-throughput benchmark: particles·steps/sec for the
+//! Single-core step-throughput gate: particles·steps/sec for the
 //! fig4-scale 1-D and fig6/ext2d-scale 2-D PIC cycles, plus `nn::linalg`
 //! matmul GFLOP/s on DL-solver training/inference shapes.
 //!
@@ -7,27 +7,12 @@
 //! drive — so the recorded numbers track the real hot loop, diagnostics
 //! included.
 //!
-//! Usage:
-//!
-//! * `step_throughput` — full measurement, JSON printed to stdout.
-//! * `--out FILE` — also write the raw measurement JSON to `FILE`
-//!   (used to capture a baseline before an optimization lands).
-//! * `--write-bench BASELINE` — measure, read a previously captured
-//!   measurement from `BASELINE`, and write `BENCH_step.json` with
-//!   `baseline` + `current` sections and the speedup ratios.
-//! * `--quick` — smaller workloads (CI-sized).
-//! * `--check` — measure (honours `--quick`), compare against the
-//!   committed `BENCH_step.json`, print deltas and exit non-zero on a
-//!   throughput regression beyond the tolerance
-//!   (`DLPIC_PERF_MAX_REGRESSION`, default 0.25).
-//!
-//! Committed numbers are machine-specific, so `--check` first rescales
-//! them by a calibration anchor — the fixed `matmul_naive` oracle, whose
-//! code no kernel optimization touches — measured on both machines.
-//! That makes the regression gate compare like with like on CI runners
-//! of any speed.
+//! CLI and gates: see `dlpic_bench::gate` (`gate::STEP`). `--check`
+//! compares against the committed `BENCH_step.json`, rescaled by the
+//! `matmul_naive` calibration anchor, at a 25% tolerance
+//! (`DLPIC_PERF_MAX_REGRESSION`).
 
-use dlpic_bench::gate::{calibration_gflops, fill, indent_block, json_value_after, median};
+use dlpic_bench::gate::{self, calibration_gflops, fill, median};
 use dlpic_nn::linalg::{matmul_nn, matmul_nt, matmul_tn};
 use dlpic_pic::init::TwoStreamInit;
 use dlpic_pic::simulation::{PicConfig, Simulation};
@@ -36,36 +21,27 @@ use dlpic_pic::{Grid1D, Shape};
 use dlpic_pic2d::init2d::TwoStream2DInit;
 use dlpic_pic2d::simulation2d::Pic2DConfig;
 use dlpic_pic2d::{Grid2D, Simulation2D, TraditionalSolver2D};
+use dlpic_repro::engine::json::{obj, Json};
 use std::time::Instant;
 
-/// One timed stepping workload.
-struct StepResult {
-    particles: usize,
-    steps: usize,
-    seconds: f64,
-    throughput: f64,
-}
-
-/// GFLOP/s of the four matmul shapes plus the aggregate.
-struct MatmulResult {
-    nn_train: f64,
-    tn_grad: f64,
-    nt_grad: f64,
-    nn_infer: f64,
-    total: f64,
-}
-
-struct Measurement {
-    calibration: f64,
-    step_1d: StepResult,
-    step_2d: StepResult,
-    matmul: MatmulResult,
+/// One timed stepping workload as recorded in `BENCH_step.json`.
+fn step_json(particles: usize, steps: usize, times: Vec<f64>) -> Json {
+    let seconds = median(times);
+    obj(vec![
+        ("particles", Json::Num(particles as f64)),
+        ("steps", Json::Num(steps as f64)),
+        ("seconds", Json::Num(seconds)),
+        (
+            "particle_steps_per_sec",
+            Json::Num(particles as f64 * steps as f64 / seconds),
+        ),
+    ])
 }
 
 /// Times `steps` calls of `Simulation::step` on the paper's fig4-scale
 /// two-stream workload (64 cells × 1000 ppc, CIC, FD Poisson, three
 /// tracked modes). Construction and the final snapshot are excluded.
-fn bench_1d(steps: usize, reps: usize) -> StepResult {
+fn bench_1d(steps: usize, reps: usize) -> Json {
     let particles = 64_000;
     let times: Vec<f64> = (0..reps)
         .map(|_| {
@@ -87,19 +63,13 @@ fn bench_1d(steps: usize, reps: usize) -> StepResult {
             dt
         })
         .collect();
-    let seconds = median(times);
-    StepResult {
-        particles,
-        steps,
-        seconds,
-        throughput: particles as f64 * steps as f64 / seconds,
-    }
+    step_json(particles, steps, times)
 }
 
 /// Times `steps` calls of `Simulation2D::step` on the ext2d/fig6-scale
 /// 2-D workload: 64×64 grid, 16 ppc (65 536 particles), CIC, spectral
 /// Poisson, two tracked modes.
-fn bench_2d(steps: usize, reps: usize) -> StepResult {
+fn bench_2d(steps: usize, reps: usize) -> Json {
     let grid_n = 64;
     let particles = grid_n * grid_n * 16;
     let times: Vec<f64> = (0..reps)
@@ -122,13 +92,7 @@ fn bench_2d(steps: usize, reps: usize) -> StepResult {
             dt
         })
         .collect();
-    let seconds = median(times);
-    StepResult {
-        particles,
-        steps,
-        seconds,
-        throughput: particles as f64 * steps as f64 / seconds,
-    }
+    step_json(particles, steps, times)
 }
 
 /// GFLOP/s of one kernel at shape `(m, k, n)`, median of `reps` timed
@@ -164,7 +128,7 @@ fn bench_kernel(
 /// The four DL-solver shapes: quick-train forward (`nn`), weight gradient
 /// (`tn`), input gradient (`nt`) at batch 64 with 512-wide hiddens, and a
 /// batch-1 inference layer at the paper's 4096-cell phase-space input.
-fn bench_matmul(quick: bool, reps: usize) -> MatmulResult {
+fn bench_matmul(quick: bool, reps: usize) -> Json {
     let scale = if quick { 4 } else { 1 };
     let (m, k, n) = (64, 512, 512);
     let flops = 2.0 * (m * k * n) as f64;
@@ -212,16 +176,16 @@ fn bench_matmul(quick: bool, reps: usize) -> MatmulResult {
     );
     // Aggregate: total flops over total time (harmonic weighting).
     let total = 4.0 / (1.0 / nn_train + 1.0 / tn_grad + 1.0 / nt_grad + 1.0 / nn_infer);
-    MatmulResult {
-        nn_train,
-        tn_grad,
-        nt_grad,
-        nn_infer,
-        total,
-    }
+    obj(vec![
+        ("nn_train_gflops", Json::Num(nn_train)),
+        ("tn_grad_gflops", Json::Num(tn_grad)),
+        ("nt_grad_gflops", Json::Num(nt_grad)),
+        ("nn_infer_gflops", Json::Num(nn_infer)),
+        ("gflops_total", Json::Num(total)),
+    ])
 }
 
-fn measure(quick: bool) -> Measurement {
+fn measure(quick: bool) -> Json {
     let (steps_1d, steps_2d, reps) = if quick { (40, 12, 3) } else { (200, 60, 5) };
     eprintln!("measuring calibration anchor...");
     let calibration = calibration_gflops(reps);
@@ -230,171 +194,14 @@ fn measure(quick: bool) -> Measurement {
     eprintln!("measuring 2-D step throughput ({steps_2d} steps x {reps} reps)...");
     let step_2d = bench_2d(steps_2d, reps);
     eprintln!("measuring matmul GFLOP/s...");
-    let matmul = bench_matmul(quick, reps);
-    Measurement {
-        calibration,
-        step_1d,
-        step_2d,
-        matmul,
-    }
-}
-
-fn measurement_json(m: &Measurement, indent: &str) -> String {
-    let step = |s: &StepResult| {
-        format!(
-            "{{\n{indent}    \"particles\": {},\n{indent}    \"steps\": {},\n{indent}    \"seconds\": {:.4},\n{indent}    \"particle_steps_per_sec\": {:.3e}\n{indent}  }}",
-            s.particles, s.steps, s.seconds, s.throughput
-        )
-    };
-    format!(
-        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"step_1d\": {},\n{indent}  \"step_2d\": {},\n{indent}  \"matmul\": {{\n{indent}    \"nn_train_gflops\": {:.3},\n{indent}    \"tn_grad_gflops\": {:.3},\n{indent}    \"nt_grad_gflops\": {:.3},\n{indent}    \"nn_infer_gflops\": {:.3},\n{indent}    \"gflops_total\": {:.3}\n{indent}  }}\n{indent}}}",
-        m.calibration,
-        step(&m.step_1d),
-        step(&m.step_2d),
-        m.matmul.nn_train,
-        m.matmul.tn_grad,
-        m.matmul.nt_grad,
-        m.matmul.nn_infer,
-        m.matmul.total,
-    )
-}
-
-fn print_human(m: &Measurement) {
-    println!(
-        "1-D  ({} particles, {} steps): {:.1} M particle·steps/s",
-        m.step_1d.particles,
-        m.step_1d.steps,
-        m.step_1d.throughput / 1e6
-    );
-    println!(
-        "2-D  ({} particles, {} steps): {:.1} M particle·steps/s",
-        m.step_2d.particles,
-        m.step_2d.steps,
-        m.step_2d.throughput / 1e6
-    );
-    println!(
-        "matmul: nn {:.2}  tn {:.2}  nt {:.2}  infer {:.2}  | total {:.2} GFLOP/s",
-        m.matmul.nn_train, m.matmul.tn_grad, m.matmul.nt_grad, m.matmul.nn_infer, m.matmul.total
-    );
-}
-
-/// The three throughput metrics of a named section in `BENCH_step.json`.
-fn section_metrics(text: &str, section: &str) -> Option<(f64, f64, f64)> {
-    let at = text.find(&format!("\"{section}\""))?;
-    let t1 = json_value_after(text, at, "particle_steps_per_sec")?;
-    let rest_at = at + text[at..].find("step_2d")?;
-    let t2 = json_value_after(text, rest_at, "particle_steps_per_sec")?;
-    let gf = json_value_after(text, rest_at, "gflops_total")?;
-    Some((t1, t2, gf))
-}
-
-fn check(m: &Measurement) -> i32 {
-    let text = match std::fs::read_to_string("BENCH_step.json") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read BENCH_step.json: {e}");
-            return 2;
-        }
-    };
-    let Some((c1, c2, cg)) = section_metrics(&text, "current") else {
-        eprintln!("BENCH_step.json has no parsable \"current\" section");
-        return 2;
-    };
-    // Rescale the committed absolutes to this machine via the anchor
-    // (older files without one fall back to unscaled comparison).
-    let cur_at = text.find("\"current\"").unwrap_or(0);
-    let scale = match json_value_after(&text, cur_at, "calibration_gflops") {
-        Some(committed_cal) if committed_cal > 0.0 => {
-            let s = m.calibration / committed_cal;
-            println!(
-                "calibration: committed {committed_cal:.2} GFLOP/s, this machine {:.2} \
-                 (scale {s:.2}x)",
-                m.calibration
-            );
-            s
-        }
-        _ => 1.0,
-    };
-    let tolerance: f64 = std::env::var("DLPIC_PERF_MAX_REGRESSION")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
-    let mut failed = false;
-    for (name, measured, committed) in [
-        ("step_1d", m.step_1d.throughput, c1 * scale),
-        ("step_2d", m.step_2d.throughput, c2 * scale),
-        ("matmul", m.matmul.total, cg * scale),
-    ] {
-        let delta = measured / committed - 1.0;
-        let verdict = if delta < -tolerance {
-            failed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "{name:>8}: expected {committed:.3e}, measured {measured:.3e} ({delta:+.1}%) {verdict}",
-            delta = delta * 100.0
-        );
-    }
-    if failed {
-        println!(
-            "FAIL: throughput regressed more than {:.0}%",
-            tolerance * 100.0
-        );
-        1
-    } else {
-        println!(
-            "PASS: within {:.0}% of committed numbers",
-            tolerance * 100.0
-        );
-        0
-    }
+    obj(vec![
+        ("calibration_gflops", Json::Num(calibration)),
+        ("step_1d", step_1d),
+        ("step_2d", step_2d),
+        ("matmul", bench_matmul(quick, reps)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let do_check = args.iter().any(|a| a == "--check");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    let m = measure(quick);
-    print_human(&m);
-
-    if let Some(path) = flag_value("--out") {
-        std::fs::write(&path, measurement_json(&m, "") + "\n").expect("write --out file");
-        println!("wrote {path}");
-    }
-
-    if let Some(baseline_path) = flag_value("--write-bench") {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let Some((b1, b2, bg)) = section_metrics(&baseline, "step_1d") else {
-            panic!("baseline {baseline_path} is not a step_throughput measurement");
-        };
-        let json = format!(
-            "{{\n  \"bench\": \"step_throughput\",\n  \"note\": \"single-core; compare the speedup ratios, not cross-machine absolutes\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n    \"step_1d\": {:.3},\n    \"step_2d\": {:.3},\n    \"matmul_total\": {:.3}\n  }}\n}}\n",
-            indent_block(baseline.trim_end()),
-            measurement_json(&m, "  "),
-            m.step_1d.throughput / b1,
-            m.step_2d.throughput / b2,
-            m.matmul.total / bg,
-        );
-        std::fs::write("BENCH_step.json", &json).expect("write BENCH_step.json");
-        println!(
-            "wrote BENCH_step.json (speedups: 1-D {:.2}x, 2-D {:.2}x, matmul {:.2}x)",
-            m.step_1d.throughput / b1,
-            m.step_2d.throughput / b2,
-            m.matmul.total / bg,
-        );
-    }
-
-    if do_check {
-        std::process::exit(check(&m));
-    }
+    gate::main(&gate::STEP, measure)
 }

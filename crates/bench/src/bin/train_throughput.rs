@@ -1,4 +1,4 @@
-//! Single-core training-pipeline throughput benchmark: conv2d
+//! Single-core training-pipeline throughput gate: conv2d
 //! forward+backward, one MLP and one CNN training epoch, and the Vlasov
 //! data-generator step, plus the shared `matmul_naive` calibration anchor.
 //!
@@ -7,26 +7,13 @@
 //! layers, the mini-batch loop, and the Vlasov solver that generates the
 //! noise-free training data (§VII).
 //!
-//! Usage mirrors `step_throughput`:
-//!
-//! * `train_throughput` — full measurement, JSON printed to stdout.
-//! * `--out FILE` — also write the raw measurement JSON to `FILE`
-//!   (used to capture a baseline before an optimization lands).
-//! * `--write-bench BASELINE` — measure, read a previously captured
-//!   measurement from `BASELINE`, and write `BENCH_train.json` with
-//!   `baseline` + `current` sections and the speedup ratios.
-//! * `--quick` — smaller workloads (CI-sized; per-unit metrics stay
-//!   comparable because the workload *shapes* are unchanged).
-//! * `--check` — measure (honours `--quick`), compare against the
-//!   committed `BENCH_train.json`, print deltas and exit non-zero on a
-//!   throughput regression beyond the tolerance
-//!   (`DLPIC_PERF_MAX_REGRESSION`, default 0.25). Committed numbers are
-//!   rescaled to this machine by the `matmul_naive` calibration anchor,
-//!   exactly like the step gate.
+//! CLI and gates: see `dlpic_bench::gate` (`gate::TRAIN`). `--check`
+//! works like the step gate (25% tolerance, anchor rescaling); the
+//! measurement records its kernel path (`simd`), and the kernel-bound
+//! metrics are derated 3× when the committed numbers come from AVX-512
+//! and this machine only has the portable path.
 
-use dlpic_bench::gate::{
-    calibration_gflops, fill, indent_block, json_string_after, json_value_after, median,
-};
+use dlpic_bench::gate::{self, calibration_gflops, fill, median};
 use dlpic_core::presets::Scale;
 use dlpic_nn::data::Dataset;
 use dlpic_nn::init::Init;
@@ -37,32 +24,25 @@ use dlpic_nn::optimizer::Adam;
 use dlpic_nn::tensor::Tensor;
 use dlpic_nn::trainer::{train, TrainConfig};
 use dlpic_pic::grid::Grid1D;
+use dlpic_repro::engine::json::{obj, Json};
 use dlpic_vlasov::solver::{VlasovConfig, VlasovSolver};
 use std::time::Instant;
 
-/// One throughput measurement: work units processed per second.
-struct Throughput {
-    units: usize,
-    seconds: f64,
-    per_sec: f64,
-}
-
-struct Measurement {
-    calibration: f64,
-    /// Kernel path the `nn::linalg` dispatcher picked ("avx512f" or
-    /// "portable") — kernel-bound metrics are only comparable between
-    /// machines on the same path.
-    simd: &'static str,
-    conv: Throughput,
-    mlp: Throughput,
-    cnn: Throughput,
-    vlasov: Throughput,
+/// One throughput measurement: `units` work units in the median of the
+/// timed repetitions, recorded with its rate under `rate_key`.
+fn throughput(units: usize, times: Vec<f64>, rate_key: &str) -> Json {
+    let seconds = median(times);
+    obj(vec![
+        ("units", Json::Num(units as f64)),
+        ("seconds", Json::Num(seconds)),
+        (rate_key, Json::Num(units as f64 / seconds)),
+    ])
 }
 
 /// Forward(training)+backward throughput of the four conv layers of the
 /// `Scale::Scaled` CNN (1→8 and 8→8 on 32×32, 8→16 and 16→16 on 16×16) at
 /// batch 64. One work unit = one batch sample through all four layers.
-fn bench_conv(iters: usize, reps: usize) -> Throughput {
+fn bench_conv(iters: usize, reps: usize) -> Json {
     let batch = 64;
     // (in_ch, out_ch, h, w) of the Scaled CNN's conv layers.
     let shapes = [
@@ -121,13 +101,7 @@ fn bench_conv(iters: usize, reps: usize) -> Throughput {
             t0.elapsed().as_secs_f64()
         })
         .collect();
-    let seconds = median(times);
-    let units = batch * iters;
-    Throughput {
-        units,
-        seconds,
-        per_sec: units as f64 / seconds,
-    }
+    throughput(batch * iters, times, "fwd_bwd_samples_per_sec")
 }
 
 /// A synthetic regression dataset with the given input shape.
@@ -144,7 +118,7 @@ fn synth_dataset(n: usize, in_shape: &[usize], out_w: usize, seed: u64) -> Datas
 
 /// Samples/second of full training epochs (shuffle + batching + forward +
 /// loss + backward + Adam) on the `Scale::Scaled` MLP (1024-256³-64).
-fn bench_mlp_epoch(samples: usize, epochs: usize, reps: usize) -> Throughput {
+fn bench_mlp_epoch(samples: usize, epochs: usize, reps: usize) -> Json {
     let data = synth_dataset(samples, &[1024], 64, 41);
     let times: Vec<f64> = (0..reps)
         .map(|_| {
@@ -163,18 +137,12 @@ fn bench_mlp_epoch(samples: usize, epochs: usize, reps: usize) -> Throughput {
             dt
         })
         .collect();
-    let seconds = median(times);
-    let units = samples * epochs;
-    Throughput {
-        units,
-        seconds,
-        per_sec: units as f64 / seconds,
-    }
+    throughput(samples * epochs, times, "samples_per_sec")
 }
 
 /// Samples/second of full training epochs on the `Scale::Scaled` CNN
 /// (1→8→8 pool 8→16→16 pool, 128³ dense head) over 32×32 images.
-fn bench_cnn_epoch(samples: usize, epochs: usize, reps: usize) -> Throughput {
+fn bench_cnn_epoch(samples: usize, epochs: usize, reps: usize) -> Json {
     let data = synth_dataset(samples, &[1, 32, 32], 64, 53);
     let times: Vec<f64> = (0..reps)
         .map(|_| {
@@ -193,18 +161,12 @@ fn bench_cnn_epoch(samples: usize, epochs: usize, reps: usize) -> Throughput {
             dt
         })
         .collect();
-    let seconds = median(times);
-    let units = samples * epochs;
-    Throughput {
-        units,
-        seconds,
-        per_sec: units as f64 / seconds,
-    }
+    throughput(samples * epochs, times, "samples_per_sec")
 }
 
 /// Steps/second of the Vlasov solver at the dataset-bridge resolution
 /// (128×256 phase-space grid — `lcm(32, 64)·2` x-cells, 32·8 v-cells).
-fn bench_vlasov(steps: usize, reps: usize) -> Throughput {
+fn bench_vlasov(steps: usize, reps: usize) -> Json {
     let times: Vec<f64> = (0..reps)
         .map(|_| {
             let cfg = VlasovConfig {
@@ -224,15 +186,10 @@ fn bench_vlasov(steps: usize, reps: usize) -> Throughput {
             dt
         })
         .collect();
-    let seconds = median(times);
-    Throughput {
-        units: steps,
-        seconds,
-        per_sec: steps as f64 / seconds,
-    }
+    throughput(steps, times, "steps_per_sec")
 }
 
-fn measure(quick: bool) -> Measurement {
+fn measure(quick: bool) -> Json {
     let reps = if quick { 3 } else { 5 };
     eprintln!("measuring calibration anchor...");
     let calibration = calibration_gflops(reps);
@@ -248,198 +205,18 @@ fn measure(quick: bool) -> Measurement {
     let vlasov_steps = if quick { 20 } else { 60 };
     eprintln!("measuring Vlasov step ({vlasov_steps} steps x {reps} reps)...");
     let vlasov = bench_vlasov(vlasov_steps, reps);
-    Measurement {
-        calibration,
-        simd: dlpic_nn::linalg::simd_level(),
-        conv,
-        mlp,
-        cnn,
-        vlasov,
-    }
-}
-
-fn measurement_json(m: &Measurement, indent: &str) -> String {
-    let tp = |t: &Throughput, unit: &str| {
-        format!(
-            "{{\n{indent}    \"units\": {},\n{indent}    \"seconds\": {:.4},\n{indent}    \"{unit}\": {:.3e}\n{indent}  }}",
-            t.units, t.seconds, t.per_sec
-        )
-    };
-    format!(
-        "{{\n{indent}  \"calibration_gflops\": {:.3},\n{indent}  \"simd\": \"{}\",\n{indent}  \"conv2d\": {},\n{indent}  \"mlp_epoch\": {},\n{indent}  \"cnn_epoch\": {},\n{indent}  \"vlasov\": {}\n{indent}}}",
-        m.calibration,
-        m.simd,
-        tp(&m.conv, "fwd_bwd_samples_per_sec"),
-        tp(&m.mlp, "samples_per_sec"),
-        tp(&m.cnn, "samples_per_sec"),
-        tp(&m.vlasov, "steps_per_sec"),
-    )
-}
-
-fn print_human(m: &Measurement) {
-    println!(
-        "conv2d fwd+bwd : {:.1} samples/s ({} samples in {:.3}s)",
-        m.conv.per_sec, m.conv.units, m.conv.seconds
-    );
-    println!(
-        "MLP epoch      : {:.1} samples/s ({} samples in {:.3}s)",
-        m.mlp.per_sec, m.mlp.units, m.mlp.seconds
-    );
-    println!(
-        "CNN epoch      : {:.1} samples/s ({} samples in {:.3}s)",
-        m.cnn.per_sec, m.cnn.units, m.cnn.seconds
-    );
-    println!(
-        "Vlasov 128x256 : {:.2} steps/s ({} steps in {:.3}s)",
-        m.vlasov.per_sec, m.vlasov.units, m.vlasov.seconds
-    );
-}
-
-/// First `"key": "<string>"` after position `from` in `text`.
-/// The four throughput metrics of a measurement starting at `section`.
-fn section_metrics(text: &str, section: &str) -> Option<(f64, f64, f64, f64)> {
-    let at = text.find(&format!("\"{section}\""))?;
-    let conv_at = at + text[at..].find("\"conv2d\"")?;
-    let conv = json_value_after(text, conv_at, "fwd_bwd_samples_per_sec")?;
-    let mlp_at = at + text[at..].find("\"mlp_epoch\"")?;
-    let mlp = json_value_after(text, mlp_at, "samples_per_sec")?;
-    let cnn_at = at + text[at..].find("\"cnn_epoch\"")?;
-    let cnn = json_value_after(text, cnn_at, "samples_per_sec")?;
-    let vl_at = at + text[at..].find("\"vlasov\"")?;
-    let vlasov = json_value_after(text, vl_at, "steps_per_sec")?;
-    Some((conv, mlp, cnn, vlasov))
-}
-
-fn check(m: &Measurement) -> i32 {
-    let text = match std::fs::read_to_string("BENCH_train.json") {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read BENCH_train.json: {e}");
-            return 2;
-        }
-    };
-    let Some((cc, cm, cn, cv)) = section_metrics(&text, "current") else {
-        eprintln!("BENCH_train.json has no parsable \"current\" section");
-        return 2;
-    };
-    let cur_at = text.find("\"current\"").unwrap_or(0);
-    let scale = match json_value_after(&text, cur_at, "calibration_gflops") {
-        Some(committed_cal) if committed_cal > 0.0 => {
-            let s = m.calibration / committed_cal;
-            println!(
-                "calibration: committed {committed_cal:.2} GFLOP/s, this machine {:.2} \
-                 (scale {s:.2}x)",
-                m.calibration
-            );
-            s
-        }
-        _ => 1.0,
-    };
-    // The f32 kernels dispatch on AVX-512 at runtime; the matmul_naive
-    // anchor (f64, never explicitly vectorized) cannot see that
-    // difference. When the committed numbers come from the stronger
-    // kernel path and this machine only has the portable one, derate
-    // the kernel-bound expectations instead of failing the machine for
-    // hardware it does not have (≈2.5x measured path gap; derate by 3x
-    // keeps a real-regression net). The opposite mismatch — portable
-    // numbers committed, AVX-512 machine measuring — needs no derate:
-    // the faster path can only beat the expectation. The Vlasov metric
-    // is f64 solver code on both paths and is compared at full
-    // strength either way.
-    let committed_simd = json_string_after(&text, cur_at, "simd");
-    let kernel_derate = match committed_simd.as_deref() {
-        Some("avx512f") if m.simd == "portable" => {
-            println!(
-                "kernel path mismatch: committed \"avx512f\", this machine \"portable\" — \
-                 derating kernel-bound expectations 3x"
-            );
-            1.0 / 3.0
-        }
-        _ => 1.0,
-    };
-    let tolerance: f64 = std::env::var("DLPIC_PERF_MAX_REGRESSION")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
-    let mut failed = false;
-    for (name, measured, committed) in [
-        ("conv2d", m.conv.per_sec, cc * scale * kernel_derate),
-        ("mlp_epoch", m.mlp.per_sec, cm * scale * kernel_derate),
-        ("cnn_epoch", m.cnn.per_sec, cn * scale * kernel_derate),
-        ("vlasov", m.vlasov.per_sec, cv * scale),
-    ] {
-        let delta = measured / committed - 1.0;
-        let verdict = if delta < -tolerance {
-            failed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "{name:>9}: expected {committed:.3e}, measured {measured:.3e} ({delta:+.1}%) {verdict}",
-            delta = delta * 100.0
-        );
-    }
-    if failed {
-        println!(
-            "FAIL: training throughput regressed more than {:.0}%",
-            tolerance * 100.0
-        );
-        1
-    } else {
-        println!(
-            "PASS: within {:.0}% of committed numbers",
-            tolerance * 100.0
-        );
-        0
-    }
+    obj(vec![
+        ("calibration_gflops", Json::Num(calibration)),
+        // The kernel path the `nn::linalg` dispatcher picked: kernel-bound
+        // metrics are only comparable between machines on the same path.
+        ("simd", Json::Str(dlpic_nn::linalg::simd_level().into())),
+        ("conv2d", conv),
+        ("mlp_epoch", mlp),
+        ("cnn_epoch", cnn),
+        ("vlasov", vlasov),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let do_check = args.iter().any(|a| a == "--check");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    let m = measure(quick);
-    print_human(&m);
-
-    if let Some(path) = flag_value("--out") {
-        std::fs::write(&path, measurement_json(&m, "") + "\n").expect("write --out file");
-        println!("wrote {path}");
-    }
-
-    if let Some(baseline_path) = flag_value("--write-bench") {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let Some((bc, bm, bn, bv)) = section_metrics(&baseline, "conv2d") else {
-            panic!("baseline {baseline_path} is not a train_throughput measurement");
-        };
-        let json = format!(
-            "{{\n  \"bench\": \"train_throughput\",\n  \"note\": \"single-core; compare the speedup ratios, not cross-machine absolutes\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {{\n    \"conv2d_fwd_bwd\": {:.3},\n    \"mlp_epoch\": {:.3},\n    \"cnn_epoch\": {:.3},\n    \"vlasov_step\": {:.3}\n  }}\n}}\n",
-            indent_block(baseline.trim_end()),
-            measurement_json(&m, "  "),
-            m.conv.per_sec / bc,
-            m.mlp.per_sec / bm,
-            m.cnn.per_sec / bn,
-            m.vlasov.per_sec / bv,
-        );
-        std::fs::write("BENCH_train.json", &json).expect("write BENCH_train.json");
-        println!(
-            "wrote BENCH_train.json (speedups: conv {:.2}x, MLP {:.2}x, CNN {:.2}x, Vlasov {:.2}x)",
-            m.conv.per_sec / bc,
-            m.mlp.per_sec / bm,
-            m.cnn.per_sec / bn,
-            m.vlasov.per_sec / bv,
-        );
-    }
-
-    if do_check {
-        std::process::exit(check(&m));
-    }
+    gate::main(&gate::TRAIN, measure)
 }

@@ -58,11 +58,10 @@ fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
 impl Json {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return err(format!("trailing characters at byte {pos}"));
         }
         Ok(value)
@@ -259,7 +258,10 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 }
 
 /// Parses one value whose enclosing containers nest `depth` levels.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+/// `*pos` is a byte offset into `text` and always sits on a char
+/// boundary: the parser only steps over ASCII bytes and whole chars.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
@@ -276,7 +278,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos, depth + 1)? {
+                let key = match parse_value(text, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return err(format!("object key must be a string at byte {pos}")),
                 };
@@ -285,7 +287,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                     return err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -307,7 +309,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -364,11 +366,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Multi-byte UTF-8: copy the full sequence.
-                        let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| JsonError {
-                            message: "invalid UTF-8 in string".into(),
-                        })?;
-                        let c = rest.chars().next().expect("nonempty");
+                        // Multi-byte UTF-8: decode just this one char (the
+                        // input is already valid UTF-8, so there is nothing
+                        // left to validate).
+                        let Some(c) = text.get(*pos..).and_then(|rest| rest.chars().next()) else {
+                            return err(format!("invalid UTF-8 in string at byte {pos}"));
+                        };
                         s.push(c);
                         *pos += c.len_utf8();
                     }
@@ -443,6 +446,25 @@ mod tests {
         let parsed = Json::parse(&doc.to_compact()).unwrap();
         assert_eq!(parsed, doc);
         assert_eq!(Json::parse(r#""λ""#).unwrap(), Json::Str("λ".into()));
+    }
+
+    #[test]
+    fn non_ascii_strings_parse_in_linear_time() {
+        // ~300 KB of two-byte chars: one pass over the input takes
+        // milliseconds, while re-validating the rest of the input per char
+        // takes tens of seconds.
+        let doc = Json::Str("é".repeat(150_000));
+        let text = doc.to_compact();
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.to_compact(), text);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing {} bytes of non-ASCII text took {elapsed:?}",
+            text.len()
+        );
     }
 
     #[test]

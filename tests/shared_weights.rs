@@ -11,7 +11,8 @@
 //! * the model registry trains once per (scenario, scale, seed), shares
 //!   one `Arc` across engines, rejects arch-mismatched hits with a
 //!   structured error naming both shapes, LRU-evicts by bytes and
-//!   releases everything on `prune`;
+//!   releases everything on `prune` — for 2-D models too, where the
+//!   mismatch error names both node counts;
 //! * bf16 weight storage is an accuracy contract, not a bit-identity one:
 //!   the two-stream growth rate stays within tolerance of f32 and the
 //!   bf16 run itself is bit-exactly deterministic across repeats.
@@ -300,6 +301,60 @@ fn registry_trains_once_and_shares_one_arc_across_engines() {
     assert!(
         why.contains(&ncells.to_string()) && why.contains(&(ncells / 2).to_string()),
         "error must name both shapes: {why}"
+    );
+}
+
+#[test]
+fn registry_trains_2d_once_and_rejects_a_resized_grid() {
+    let reg = engine::shared_registry(1 << 30);
+    let spec = engine::scenario("two_stream_2d", Scale::Smoke).expect("registry");
+
+    let e1 = Engine::new().with_registry(Arc::clone(&reg));
+    let e2 = Engine::new().with_registry(Arc::clone(&reg));
+    let sessions = [
+        e1.start(&spec, Backend::Dl2D).expect("first session"),
+        e1.start(&spec, Backend::Dl2D).expect("second session"),
+        e2.start(&spec, Backend::Dl2D)
+            .expect("session on second engine"),
+    ];
+
+    let stats = reg.lock().unwrap().stats();
+    assert_eq!(stats.misses, 1, "same key must train exactly once");
+    assert_eq!(stats.hits, 2, "later sessions must be cache hits");
+    assert_eq!(stats.entries, 1);
+
+    let (id, bytes) = sessions[0].weight_storage().expect("weights");
+    assert!(bytes > 0);
+    for s in &sessions[1..] {
+        assert_eq!(
+            s.weight_storage(),
+            Some((id, bytes)),
+            "a 2-D session owns a private weight copy"
+        );
+    }
+
+    // A registry hit for a resized grid must fail with a structured error
+    // naming both node counts, not hand out a mis-sized network.
+    let mut resized = spec.clone();
+    let DomainSpec::TwoD { nx, ny, lx, ly } = resized.domain else {
+        panic!("two_stream_2d is 2-D");
+    };
+    resized.domain = DomainSpec::TwoD {
+        nx: nx / 2,
+        ny,
+        lx,
+        ly,
+    };
+    let err = match e2.start(&resized, Backend::Dl2D) {
+        Ok(_) => panic!("resized grid must be rejected"),
+        Err(e) => e,
+    };
+    let EngineError::Incompatible { why, .. } = &err else {
+        panic!("expected Incompatible, got: {err}");
+    };
+    assert!(
+        why.contains(&(nx * ny).to_string()) && why.contains(&(nx / 2 * ny).to_string()),
+        "error must name both node counts: {why}"
     );
 }
 
