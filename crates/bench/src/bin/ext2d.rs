@@ -14,8 +14,9 @@ use dlpic_analytics::plot::{line_plot, PlotOptions};
 use dlpic_analytics::series::{write_csv, Table, TimeSeries};
 use dlpic_analytics::stats;
 use dlpic_bench::{out_dir, Cli};
+use dlpic_core::phase_space::BinningShape;
 use dlpic_core::presets::Scale;
-use dlpic_core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use dlpic_core::twod::{harvest_2d, train_2d_model, Train2DConfig};
 use dlpic_pic::shape::Shape;
 use dlpic_pic2d::grid2d::Grid2D;
 use dlpic_pic2d::init2d::TwoStream2DInit;
@@ -66,7 +67,7 @@ fn main() {
             for seed in 0..n_seeds as u64 {
                 samples.extend(harvest_2d(
                     config(&grid, n_part, v0, vth, seed),
-                    DensityBinning::Cic,
+                    BinningShape::Cic,
                     1,
                 ));
             }
@@ -83,7 +84,8 @@ fn main() {
         batch_size: 32,
         seed: 7,
     };
-    let (mut solver, history) = train_2d_solver(&grid, &samples, DensityBinning::Cic, &tc);
+    let (model, history) = train_2d_model(&grid, &samples, BinningShape::Cic, &tc);
+    let mut solver = model.solver();
     eprintln!(
         "  final MSE {:.3e} ({:.1}s)",
         history.final_loss().unwrap_or(f64::NAN),

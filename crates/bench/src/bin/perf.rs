@@ -19,7 +19,7 @@ use dlpic_analytics::series::Table;
 use dlpic_bench::{get_or_train_mlp, out_dir, Cli};
 use dlpic_core::normalize::NormStats;
 use dlpic_core::phase_space::{bin_phase_space, BinningShape};
-use dlpic_core::twod::{arch_2d, bin_density, DensityBinning, Dl2DFieldSolver};
+use dlpic_core::twod::{arch_2d, bin_density, Dl2DFieldSolver};
 use dlpic_nn::Precision;
 use dlpic_pic::deposit::{add_uniform_background, deposit_charge};
 use dlpic_pic::efield::efield_from_phi;
@@ -171,12 +171,16 @@ fn main() {
     );
     let mut density = vec![0.0f32; grid.nodes()];
     let t_bin_2d = time_us(
-        || bin_density(&particles, &grid, DensityBinning::Cic, &mut density),
+        || bin_density(&particles, &grid, BinningShape::Cic, &mut density),
         20,
     );
     let mut dl = Dl2DFieldSolver::new(
-        Arc::new(arch_2d(&grid, vec![256]).build(0).freeze(Precision::F32)),
-        DensityBinning::Cic,
+        Arc::new(
+            arch_2d(grid.nodes(), vec![256])
+                .build(0)
+                .freeze(Precision::F32),
+        ),
+        BinningShape::Cic,
         NormStats::identity(),
         "dl-2d",
     );

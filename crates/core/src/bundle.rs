@@ -242,14 +242,16 @@ impl ModelBundle {
     pub fn freeze(&self) -> Result<FrozenBundle, BundleError> {
         let net = self.build_network()?;
         Ok(FrozenBundle {
-            model: Arc::new(net.freeze(self.precision)),
-            spec: self.spec,
-            binning: self.binning,
-            norm: self.norm,
             reference_mass: self.reference_mass,
-            input_kind: self.arch.input_kind(),
-            output_len: self.arch.output_len(),
-            name: self.solver_name(),
+            ..FrozenBundle::from_network(
+                &net,
+                &self.arch,
+                self.spec,
+                self.binning,
+                self.norm,
+                self.solver_name(),
+                self.precision,
+            )
         })
     }
 }
@@ -271,6 +273,31 @@ pub struct FrozenBundle {
 }
 
 impl FrozenBundle {
+    /// Freezes a network of architecture `arch` at `precision` into a
+    /// shareable snapshot whose solvers report `name`. The reference mass
+    /// is 0 (no inference-time rescaling); [`ModelBundle::freeze`] carries
+    /// the bundle's own.
+    pub fn from_network(
+        net: &Sequential,
+        arch: &ArchSpec,
+        spec: PhaseGridSpec,
+        binning: BinningShape,
+        norm: NormStats,
+        name: &'static str,
+        precision: Precision,
+    ) -> Self {
+        Self {
+            model: Arc::new(net.freeze(precision)),
+            spec,
+            binning,
+            norm,
+            reference_mass: 0.0,
+            input_kind: arch.input_kind(),
+            output_len: arch.output_len(),
+            name,
+        }
+    }
+
     /// Mints one fleet member over the shared weight allocation. At
     /// [`Precision::F32`] the member is bit-identical to the trained
     /// network's own forward pass.
@@ -286,11 +313,6 @@ impl FrozenBundle {
         .with_reference_mass(self.reference_mass)
     }
 
-    /// The shared frozen model.
-    pub fn model(&self) -> &Arc<FrozenModel> {
-        &self.model
-    }
-
     /// The phase-grid geometry members bin into.
     pub fn spec(&self) -> &PhaseGridSpec {
         &self.spec
@@ -299,11 +321,6 @@ impl FrozenBundle {
     /// Field cells the model predicts (its output width).
     pub fn output_len(&self) -> usize {
         self.output_len
-    }
-
-    /// The weight storage precision.
-    pub fn precision(&self) -> Precision {
-        self.model.precision()
     }
 
     /// Bytes of the one shared weight allocation.
@@ -432,7 +449,6 @@ mod tests {
         let (id2, _) = m2.weight_storage().unwrap();
         assert_eq!(id1, id2, "members must share one allocation");
         assert_eq!(bytes, frozen.weight_bytes());
-        assert_eq!(frozen.precision(), Precision::F32);
         assert_eq!(m1.name(), "dl-mlp");
     }
 

@@ -121,13 +121,8 @@ impl DlFieldSolver {
         );
         self.scratch.clear();
         self.scratch.extend_from_slice(histogram);
-        if self.reference_mass > 0.0 && (total_mass - self.reference_mass).abs() > 0.5 {
-            let factor = self.reference_mass / total_mass;
-            for v in self.scratch.iter_mut() {
-                *v *= factor;
-            }
-        }
-        self.norm.apply(&mut self.scratch);
+        self.norm
+            .apply_at_mass(&mut self.scratch, total_mass, self.reference_mass);
         self.infer_scratch_into(e);
     }
 
@@ -220,16 +215,8 @@ impl PhasedFieldSolver for DlFieldSolver {
         // 1-2. Bin, rescale to the training mass, and normalize (paper
         // Eq. 5) — everything `solve` does before the network.
         bin_phase_space(particles, grid, &self.spec, self.binning, dst);
-        if self.reference_mass > 0.0 {
-            let mass = particles.len() as f32;
-            if (mass - self.reference_mass).abs() > 0.5 {
-                let factor = self.reference_mass / mass;
-                for v in dst.iter_mut() {
-                    *v *= factor;
-                }
-            }
-        }
-        self.norm.apply(dst);
+        self.norm
+            .apply_at_mass(dst, particles.len() as f32, self.reference_mass);
     }
 
     fn infer_batch(&mut self, input: &[f32], rows: usize, output: &mut [f32]) {

@@ -42,4 +42,4 @@ pub use phase_space::{bin_phase_space, phase_space_histogram, BinningShape, Phas
 pub use physics_loss::PhysicsInformedMse;
 pub use presets::Scale;
 pub use temporal::TemporalDlSolver;
-pub use twod::{DensityBinning, Dl2DFieldSolver, Frozen2DModel};
+pub use twod::{Dl2DFieldSolver, Frozen2DModel};

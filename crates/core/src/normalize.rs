@@ -57,6 +57,21 @@ impl NormStats {
         }
     }
 
+    /// The DL solvers' input step: rescales a count histogram of total
+    /// `mass` to the training histograms' `reference_mass` (when that is
+    /// set and the two differ by more than half a count), then applies
+    /// Eq. 5. A count histogram is extensive, so the min–max statistics
+    /// only transfer between histograms of equal mass.
+    pub fn apply_at_mass(&self, data: &mut [f32], mass: f32, reference_mass: f32) {
+        if reference_mass > 0.0 && (mass - reference_mass).abs() > 0.5 {
+            let factor = reference_mass / mass;
+            for v in data.iter_mut() {
+                *v *= factor;
+            }
+        }
+        self.apply(data);
+    }
+
     /// Inverts Eq. 5 in place.
     pub fn invert(&self, data: &mut [f32]) {
         let span = self.span();

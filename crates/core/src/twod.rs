@@ -22,6 +22,7 @@
 
 use crate::builder::ArchSpec;
 use crate::normalize::NormStats;
+use crate::phase_space::BinningShape;
 use dlpic_nn::data::Dataset;
 use dlpic_nn::frozen::{FrozenModel, Precision, PredictWorkspace};
 use dlpic_nn::loss::Mse;
@@ -35,24 +36,13 @@ use dlpic_pic2d::simulation2d::{Pic2DConfig, Simulation2D};
 use dlpic_pic2d::solver2d::{FieldSolver2D, PhasedFieldSolver2D, TraditionalSolver2D};
 use std::sync::Arc;
 
-/// Binning order for the 2-D density histogram (mirrors the 1-D
-/// `BinningShape`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DensityBinning {
-    /// Count each particle into its nearest cell.
-    #[default]
-    Ngp,
-    /// Bilinear spreading over the four surrounding cells.
-    Cic,
-}
-
 /// Bins particle positions into a row-major `nx×ny` count histogram
 /// (`out[iy * nx + ix]`, `x` fastest). Weights sum to the particle count.
 /// `out` is overwritten.
 ///
 /// # Panics
 /// Panics if `out` length differs from the grid node count.
-pub fn bin_density(particles: &Particles2D, grid: &Grid2D, shape: DensityBinning, out: &mut [f32]) {
+pub fn bin_density(particles: &Particles2D, grid: &Grid2D, shape: BinningShape, out: &mut [f32]) {
     assert_eq!(out.len(), grid.nodes(), "density buffer size mismatch");
     out.fill(0.0);
     let (nx, ny) = (grid.nx(), grid.ny());
@@ -60,14 +50,14 @@ pub fn bin_density(particles: &Particles2D, grid: &Grid2D, shape: DensityBinning
     let inv_dy = 1.0 / grid.dy();
 
     match shape {
-        DensityBinning::Ngp => {
+        BinningShape::Ngp => {
             for (&x, &y) in particles.x.iter().zip(&particles.y) {
                 let ix = ((x * inv_dx + 0.5) as usize) % nx;
                 let iy = ((y * inv_dy + 0.5) as usize) % ny;
                 out[iy * nx + ix] += 1.0;
             }
         }
-        DensityBinning::Cic => {
+        BinningShape::Cic => {
             for (&x, &y) in particles.x.iter().zip(&particles.y) {
                 let fx = x * inv_dx;
                 let ix0 = fx.floor();
@@ -104,7 +94,7 @@ pub struct Sample2D {
 /// Runs a traditional 2-D PIC simulation and harvests one sample every
 /// `stride` steps (stride 1 = every step), mirroring the paper's 1-D
 /// harvesting procedure.
-pub fn harvest_2d(cfg: Pic2DConfig, binning: DensityBinning, stride: usize) -> Vec<Sample2D> {
+pub fn harvest_2d(cfg: Pic2DConfig, binning: BinningShape, stride: usize) -> Vec<Sample2D> {
     assert!(stride > 0, "stride must be positive");
     let n_steps = cfg.n_steps;
     let grid = cfg.grid.clone();
@@ -155,15 +145,15 @@ pub fn build_dataset_2d(samples: &[Sample2D]) -> (Dataset, NormStats) {
 /// The default 2-D architecture: an MLP from `nodes` density bins to
 /// `2·nodes` field values, with the same ReLU-hidden / linear-output
 /// structure as the paper's 1-D MLP.
-pub fn arch_2d(grid: &Grid2D, hidden: Vec<usize>) -> ArchSpec {
+pub fn arch_2d(nodes: usize, hidden: Vec<usize>) -> ArchSpec {
     ArchSpec::Mlp {
-        input: grid.nodes(),
+        input: nodes,
         hidden,
-        output: 2 * grid.nodes(),
+        output: 2 * nodes,
     }
 }
 
-/// Configuration for [`train_2d_solver`].
+/// Configuration for [`train_2d_model`].
 #[derive(Debug, Clone)]
 pub struct Train2DConfig {
     /// Hidden-layer widths.
@@ -190,20 +180,20 @@ impl Default for Train2DConfig {
     }
 }
 
-/// Trains the 2-D MLP on harvested samples, returning the trained
-/// network and its training-input normalization statistics (the
-/// serializable form; [`train_2d_solver`] freezes it into a solver).
+/// Trains the 2-D MLP on harvested samples and freezes it with the
+/// training-input normalization and the first sample's mass (the
+/// solver's `"dl-2d-mlp"` name, f32 weights).
 ///
 /// # Panics
 /// Panics on an empty sample list.
-pub fn train_2d_network(
+pub fn train_2d_model(
     grid: &Grid2D,
     samples: &[Sample2D],
+    binning: BinningShape,
     cfg: &Train2DConfig,
-) -> (Sequential, NormStats, TrainHistory) {
+) -> (Frozen2DModel, TrainHistory) {
     let (dataset, norm) = build_dataset_2d(samples);
-    let arch = arch_2d(grid, cfg.hidden.clone());
-    let mut net = arch.build(cfg.seed);
+    let mut net = arch_2d(grid.nodes(), cfg.hidden.clone()).build(cfg.seed);
     let mut opt = Adam::new(cfg.learning_rate);
     let tc = TrainConfig {
         epochs: cfg.epochs,
@@ -212,20 +202,6 @@ pub fn train_2d_network(
         log_every: 0,
     };
     let history = train(&mut net, &Mse, &mut opt, &dataset, None, &tc);
-    (net, norm, history)
-}
-
-/// Trains a 2-D DL field solver on harvested samples.
-///
-/// # Panics
-/// Panics on an empty sample list.
-pub fn train_2d_solver(
-    grid: &Grid2D,
-    samples: &[Sample2D],
-    binning: DensityBinning,
-    cfg: &Train2DConfig,
-) -> (Dl2DFieldSolver, TrainHistory) {
-    let (net, norm, history) = train_2d_network(grid, samples, cfg);
     let reference_mass: f32 = samples[0].hist.iter().sum();
     let model = Frozen2DModel::from_network(
         &net,
@@ -235,7 +211,7 @@ pub fn train_2d_solver(
         "dl-2d-mlp",
         Precision::F32,
     );
-    (model.solver(), history)
+    (model, history)
 }
 
 /// A frozen, `Arc`-shareable snapshot of a trained 2-D solver: the
@@ -245,7 +221,7 @@ pub fn train_2d_solver(
 #[derive(Debug, Clone)]
 pub struct Frozen2DModel {
     model: Arc<FrozenModel>,
-    binning: DensityBinning,
+    binning: BinningShape,
     norm: NormStats,
     reference_mass: f32,
     name: &'static str,
@@ -255,7 +231,7 @@ impl Frozen2DModel {
     /// Freezes a trained network into a shareable 2-D model.
     pub fn from_network(
         net: &Sequential,
-        binning: DensityBinning,
+        binning: BinningShape,
         norm: NormStats,
         reference_mass: f32,
         name: &'static str,
@@ -278,11 +254,6 @@ impl Frozen2DModel {
             .with_reference_mass(self.reference_mass)
     }
 
-    /// The shared frozen model.
-    pub fn model(&self) -> &Arc<FrozenModel> {
-        &self.model
-    }
-
     /// Bytes of the one shared weight allocation.
     pub fn weight_bytes(&self) -> usize {
         self.model.weight_bytes()
@@ -293,7 +264,7 @@ impl Frozen2DModel {
 /// `[Ex | Ey]` out), pluggable into [`Simulation2D`].
 pub struct Dl2DFieldSolver {
     model: Arc<FrozenModel>,
-    binning: DensityBinning,
+    binning: BinningShape,
     norm: NormStats,
     name: &'static str,
     reference_mass: f32,
@@ -312,7 +283,7 @@ impl Dl2DFieldSolver {
     /// `norm` must be the training-input statistics.
     pub fn new(
         model: Arc<FrozenModel>,
-        binning: DensityBinning,
+        binning: BinningShape,
         norm: NormStats,
         name: &'static str,
     ) -> Self {
@@ -336,22 +307,6 @@ impl Dl2DFieldSolver {
     pub fn with_reference_mass(mut self, mass: f32) -> Self {
         self.reference_mass = mass;
         self
-    }
-
-    /// The training histograms' total mass (0 = unknown).
-    pub fn reference_mass(&self) -> f32 {
-        self.reference_mass
-    }
-
-    /// Runs one inference from an already-normalized histogram; returns
-    /// the stacked `[Ex | Ey]` prediction.
-    pub fn predict_from_histogram(&mut self, histogram: &[f32]) -> Vec<f32> {
-        self.input.resize_in_place(&[1, histogram.len()]);
-        self.input.data_mut().copy_from_slice(histogram);
-        self.model
-            .predict_into(&self.input, &mut self.workspace)
-            .data()
-            .to_vec()
     }
 
     /// Inference + field write from the prepared `self.scratch` — phases
@@ -413,16 +368,8 @@ impl PhasedFieldSolver2D for Dl2DFieldSolver {
 
     fn prepare_input(&mut self, particles: &Particles2D, grid: &Grid2D, dst: &mut [f32]) {
         bin_density(particles, grid, self.binning, dst);
-        if self.reference_mass > 0.0 {
-            let mass = particles.len() as f32;
-            if (mass - self.reference_mass).abs() > 0.5 {
-                let factor = self.reference_mass / mass;
-                for v in dst.iter_mut() {
-                    *v *= factor;
-                }
-            }
-        }
-        self.norm.apply(dst);
+        self.norm
+            .apply_at_mass(dst, particles.len() as f32, self.reference_mass);
         self.in_nodes = grid.nodes();
     }
 
@@ -471,10 +418,10 @@ mod tests {
     }
 
     fn untrained_solver(grid: &Grid2D, seed: u64) -> Dl2DFieldSolver {
-        let net = arch_2d(grid, vec![16]).build(seed);
+        let net = arch_2d(grid.nodes(), vec![16]).build(seed);
         Dl2DFieldSolver::new(
             Arc::new(net.freeze(Precision::F32)),
-            DensityBinning::Ngp,
+            BinningShape::Ngp,
             NormStats::identity(),
             "dl-2d",
         )
@@ -484,7 +431,7 @@ mod tests {
     fn density_binning_conserves_counts() {
         let grid = tiny_grid();
         let p = TwoStream2DInit::random(0.2, 0.01, 500, 3).build(&grid);
-        for shape in [DensityBinning::Ngp, DensityBinning::Cic] {
+        for shape in [BinningShape::Ngp, BinningShape::Cic] {
             let mut hist = vec![0.0f32; grid.nodes()];
             bin_density(&p, &grid, shape, &mut hist);
             let total: f32 = hist.iter().sum();
@@ -504,7 +451,7 @@ mod tests {
             1.0,
         );
         let mut hist = vec![0.0f32; grid.nodes()];
-        bin_density(&p, &grid, DensityBinning::Cic, &mut hist);
+        bin_density(&p, &grid, BinningShape::Cic, &mut hist);
         assert!((hist[grid.index(2, 3)] - 1.0).abs() < 1e-6);
     }
 
@@ -518,7 +465,7 @@ mod tests {
             gather_shape: Shape::Cic,
             tracked_modes: vec![],
         };
-        let samples = harvest_2d(cfg, DensityBinning::Ngp, 2);
+        let samples = harvest_2d(cfg, BinningShape::Ngp, 2);
         assert_eq!(samples.len(), 5);
         assert!(samples.iter().all(|s| s.hist.len() == 64));
         assert!(samples.iter().all(|s| s.ex.len() == 64 && s.ey.len() == 64));
@@ -575,7 +522,7 @@ mod tests {
             gather_shape: Shape::Cic,
             tracked_modes: vec![],
         };
-        let samples = harvest_2d(cfg, DensityBinning::Ngp, 1);
+        let samples = harvest_2d(cfg, BinningShape::Ngp, 1);
         let tc = Train2DConfig {
             hidden: vec![32],
             learning_rate: 3e-3,
@@ -583,7 +530,7 @@ mod tests {
             batch_size: 8,
             seed: 1,
         };
-        let (_, history) = train_2d_solver(&grid, &samples, DensityBinning::Ngp, &tc);
+        let (_, history) = train_2d_model(&grid, &samples, BinningShape::Ngp, &tc);
         let first = history.train_loss.first().copied().unwrap();
         let last = history.final_loss().unwrap();
         assert!(
@@ -595,11 +542,11 @@ mod tests {
     #[test]
     fn frozen_2d_members_are_bit_identical_to_sequential_predict() {
         let grid = tiny_grid();
-        let mut net = arch_2d(&grid, vec![16]).build(3);
+        let mut net = arch_2d(grid.nodes(), vec![16]).build(3);
         let norm = NormStats::identity();
         let frozen = Frozen2DModel::from_network(
             &net,
-            DensityBinning::Cic,
+            BinningShape::Cic,
             norm,
             512.0,
             "dl-2d",
@@ -621,7 +568,7 @@ mod tests {
         // The reference: bin, rescale, normalize, then the trained
         // network's own forward.
         let mut hist = vec![0.0f32; grid.nodes()];
-        bin_density(&p, &grid, DensityBinning::Cic, &mut hist);
+        bin_density(&p, &grid, BinningShape::Cic, &mut hist);
         let factor = 512.0 / 500.0f32;
         hist.iter_mut().for_each(|v| *v *= factor);
         norm.apply(&mut hist);
@@ -639,7 +586,6 @@ mod tests {
         assert_eq!(id1, id2);
         assert_eq!(bytes1, frozen.weight_bytes());
         assert_eq!(m1.name(), "dl-2d");
-        assert_eq!(m1.reference_mass(), 512.0);
     }
 
     #[test]

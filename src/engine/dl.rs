@@ -2,85 +2,40 @@
 //!
 //! Three ways to get a model into an [`Engine`](super::Engine):
 //!
-//! 1. **Bring a trained bundle** — `engine.with_model_1d(bundle)` with a
-//!    [`ModelBundle`] from `dlpic-bench` or [`quick_train_1d`].
-//! 2. **Quick-train here** — [`quick_train_1d`]/[`quick_train_2d`] run the
-//!    full harvest→train pipeline at the spec's scale (seconds at
-//!    `Scale::Smoke`).
-//! 3. **Untrained fallback** — with no model configured, the engine builds
-//!    an untrained network of the scale's architecture. The produced
-//!    fields are physically meaningless (finite, near-zero) but every
-//!    plumbing path is exercised; runs report the solver name
-//!    `dl-*-untrained` so nobody mistakes them for physics.
+//! 1. **Bring a trained 1-D bundle** — `engine.with_model_1d(bundle)` with
+//!    a [`ModelBundle`] from `dlpic-bench` or [`quick_train_1d`].
+//! 2. **Quick-train through a registry** — `engine.with_registry(..)`
+//!    attaches a [`ModelRegistry`] that runs [`quick_train_1d`] /
+//!    [`quick_train_2d`] once per (scenario, scale, seed) at the spec's
+//!    scale (seconds at `Scale::Smoke`) and shares the result.
+//! 3. **Untrained fallback** — with neither, the engine builds the
+//!    [`default_arch`] network at a fixed seed. The produced fields are
+//!    physically meaningless (finite, near-zero) but every plumbing path
+//!    is exercised; runs report the solver name `dl-*-untrained` so nobody
+//!    mistakes them for physics.
 //!
-//! Whichever way a model arrives, sessions run it as an `Arc`-shared
-//! frozen model: one weight allocation per distinct model.
+//! Whichever way a model arrives, it is held as one frozen snapshot — a
+//! [`FrozenBundle`] (1-D) or a [`Frozen2DModel`] (2-D) — and every session
+//! mints its solver from it with `.solver()`, so sessions share one
+//! `Arc`-held weight allocation per distinct model. [`default_arch`] is
+//! the one place that decides which network a session runs when no
+//! trained model is configured; the quick-trainers fit that network, and
+//! the weight and memory accounting sizes it.
 
 use super::backend::Backend;
 use super::error::EngineError;
 use super::spec::ScenarioSpec;
-use crate::core::normalize::NormStats;
+use crate::core::builder::ArchSpec;
 use crate::core::phase_space::BinningShape;
 use crate::core::presets::Scale;
-use crate::core::twod::{
-    arch_2d, harvest_2d, train_2d_network, DensityBinning, Dl2DFieldSolver, Frozen2DModel,
-    Train2DConfig,
-};
-use crate::core::{DlFieldSolver, FrozenBundle, ModelBundle};
-use crate::nn::frozen::{FrozenModel, Precision};
-use crate::nn::serialize::{params_from_bytes, params_to_bytes};
-use crate::pic2d::{Grid2D, Pic2DConfig};
+use crate::core::twod::{arch_2d, harvest_2d, train_2d_model, Frozen2DModel, Train2DConfig};
+use crate::core::{FrozenBundle, ModelBundle};
+use crate::pic2d::Pic2DConfig;
+use std::any::Any;
 use std::sync::{Arc, Mutex};
 
-/// A persisted-in-memory 2-D DL model (the 2-D analogue of
-/// [`ModelBundle`]): enough to freeze a shareable [`Frozen2DModel`] for a
-/// grid, from which any number of [`Dl2DFieldSolver`]s are minted.
-#[derive(Debug, Clone)]
-pub struct Dl2DModel {
-    /// Hidden-layer widths of the MLP.
-    pub hidden: Vec<usize>,
-    /// Serialized network parameters.
-    pub params: Vec<u8>,
-    /// Density-binning order used in training.
-    pub binning: DensityBinning,
-    /// Training-input normalization statistics.
-    pub norm: NormStats,
-    /// Total mass of the training histograms (0 disables rescaling).
-    pub reference_mass: f32,
-}
-
-impl Dl2DModel {
-    /// Restores the trained network for the given grid and freezes it at
-    /// `precision`. Fails if the grid's node count mismatches the trained
-    /// parameter shapes.
-    pub fn freeze(
-        &self,
-        grid: &Grid2D,
-        precision: Precision,
-    ) -> Result<Frozen2DModel, EngineError> {
-        let arch = arch_2d(grid, self.hidden.clone());
-        let mut net = arch.build(0);
-        params_from_bytes(&mut net, &self.params).map_err(|_| EngineError::InvalidSpec {
-            scenario: String::new(),
-            what: format!(
-                "2-D model parameters do not fit a {}×{} grid",
-                grid.nx(),
-                grid.ny()
-            ),
-        })?;
-        Ok(Frozen2DModel::from_network(
-            &net,
-            self.binning,
-            self.norm,
-            self.reference_mass,
-            "dl-2d-mlp",
-            precision,
-        ))
-    }
-}
-
 /// Hidden widths of the default 2-D architecture at each scale.
-pub fn hidden_2d(scale: Scale) -> Vec<usize> {
+fn hidden_2d(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Smoke => vec![32, 32],
         Scale::Scaled => vec![256, 256],
@@ -88,52 +43,25 @@ pub fn hidden_2d(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// The shared weight allocation of the untrained 1-D fallback: the
-/// scale's MLP at a fixed seed, one `Arc` a whole fleet of untrained
-/// sessions shares. The network output width is the paper's 64 cells, so
-/// the scenario domain must match (checked by the engine before building).
-pub fn untrained_frozen_1d(scale: Scale) -> Arc<FrozenModel> {
-    Arc::new(scale.mlp_arch().build(0xD15E).freeze(Precision::F32))
-}
-
-/// One untrained fleet member over a shared weight allocation from
-/// [`untrained_frozen_1d`].
-pub fn untrained_1d_shared(scale: Scale, model: Arc<FrozenModel>) -> DlFieldSolver {
-    DlFieldSolver::new(
-        model,
-        scale.phase_spec(),
-        BinningShape::Ngp,
-        NormStats::identity(),
-        scale.mlp_arch().input_kind(),
-        "dl-mlp-untrained",
-    )
-}
-
-/// The shared weight allocation of the untrained 2-D fallback for this
-/// grid.
-pub fn untrained_frozen_2d(scale: Scale, grid: &Grid2D) -> Arc<FrozenModel> {
-    Arc::new(
-        arch_2d(grid, hidden_2d(scale))
-            .build(0xD15E)
-            .freeze(Precision::F32),
-    )
-}
-
-/// One untrained 2-D fleet member over a shared allocation from
-/// [`untrained_frozen_2d`].
-pub fn untrained_2d_shared(model: Arc<FrozenModel>) -> Dl2DFieldSolver {
-    Dl2DFieldSolver::new(
-        model,
-        DensityBinning::Ngp,
-        NormStats::identity(),
-        "dl-2d-mlp-untrained",
-    )
+/// The network a DL session runs when no trained model is configured:
+/// what the quick-trainers fit and the untrained fallback builds, and
+/// what the memory estimate and the weight profile size. 1-D: the
+/// scale's MLP from the phase-space histogram to the paper's 64 cells.
+/// 2-D: an MLP from the `nodes` density bins to `[Ex | Ey]`. `None` for
+/// backends without a network.
+pub fn default_arch(spec: &ScenarioSpec, backend: Backend) -> Option<ArchSpec> {
+    match backend {
+        Backend::Dl1D => Some(spec.scale.mlp_arch()),
+        Backend::Dl2D => Some(arch_2d(spec.domain.cells(), hidden_2d(spec.scale))),
+        _ => None,
+    }
 }
 
 /// Trains a 1-D MLP field solver from scratch at the given scale — the
 /// full paper pipeline (traditional-PIC harvest → shuffle/split →
-/// Adam/MSE training) with the scale's sweep and architecture. Seconds at
-/// `Scale::Smoke`; see `dlpic-bench` for cached, full-size training.
+/// Adam/MSE training) with the scale's sweep and the [`default_arch`]
+/// 1-D network. Seconds at `Scale::Smoke`; see `dlpic-bench` for cached,
+/// full-size training.
 pub fn quick_train_1d(scale: Scale, seed: u64) -> ModelBundle {
     use crate::dataset::generator::{generate, GeneratorConfig};
     use crate::dataset::spec::SweepSpec;
@@ -168,8 +96,8 @@ pub fn quick_train_1d(scale: Scale, seed: u64) -> ModelBundle {
 }
 
 /// Trains a 2-D DL field solver by harvesting a traditional 2-D run of the
-/// given scenario, then fitting the scale's MLP.
-pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, EngineError> {
+/// given scenario, then fitting the scale's MLP, and freezes it.
+pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Frozen2DModel, EngineError> {
     let grid = match spec.dim() {
         super::spec::Dim::TwoD => spec.grid_2d(),
         super::spec::Dim::OneD => {
@@ -191,7 +119,7 @@ pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, Engin
         gather_shape: crate::pic::Shape::Cic,
         tracked_modes: vec![],
     };
-    let binning = DensityBinning::Ngp;
+    let binning = BinningShape::Ngp;
     let samples = harvest_2d(cfg, binning, 1);
     let tc = Train2DConfig {
         hidden: hidden_2d(spec.scale),
@@ -204,72 +132,55 @@ pub fn quick_train_2d(spec: &ScenarioSpec, seed: u64) -> Result<Dl2DModel, Engin
         batch_size: 32,
         seed,
     };
-    let (mut net, norm, _history) = train_2d_network(&grid, &samples, &tc);
-    let reference_mass: f32 = samples.first().map(|s| s.hist.iter().sum()).unwrap_or(0.0);
-    Ok(Dl2DModel {
-        hidden: hidden_2d(spec.scale),
-        params: params_to_bytes(&mut net),
-        binning,
-        norm,
-        reference_mass,
-    })
+    Ok(train_2d_model(&grid, &samples, binning, &tc).0)
 }
 
 /// Observable counters of a [`ModelRegistry`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStats {
-    /// Lookups served from a cached bundle.
+    /// Lookups served from a cached model.
     pub hits: u64,
     /// Lookups that trained a fresh model.
     pub misses: u64,
     /// Entries dropped by LRU pressure or [`ModelRegistry::prune`].
     pub evictions: u64,
-    /// Bundles currently resident.
+    /// Models currently resident.
     pub entries: usize,
-    /// Bytes currently resident (serialized parameters plus the frozen
-    /// inference copy).
+    /// Weight bytes currently resident (one frozen copy per entry).
     pub bytes: usize,
     /// The configured byte capacity.
     pub capacity_bytes: usize,
 }
 
 /// What one registry lookup is keyed by: train once per (scenario, scale,
-/// seed) per dimension, share everywhere.
+/// seed) per dimension, share everywhere. The dimension is the type of
+/// the cached model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RegistryKey {
-    two_d: bool,
     scenario: String,
     scale: Scale,
     seed: u64,
 }
 
-enum RegistryPayload {
-    OneD {
-        bundle: Arc<ModelBundle>,
-        frozen: FrozenBundle,
-    },
-    TwoD {
-        model: Arc<Dl2DModel>,
-        frozen: Frozen2DModel,
-        nodes: usize,
-    },
-}
-
 struct RegistryEntry {
     key: RegistryKey,
-    payload: RegistryPayload,
+    /// A [`FrozenBundle`] or a [`Frozen2DModel`]; cloning one is an
+    /// `Arc` bump, not a weight copy.
+    frozen: Box<dyn Any + Send>,
+    /// Field cells the cached network serves.
+    cells: usize,
+    /// Bytes of its one weight allocation.
     bytes: usize,
     last_used: u64,
 }
 
-/// A get-or-train cache of DL model bundles keyed by
+/// A get-or-train cache of frozen DL models keyed by
 /// `(scenario, scale, seed)`: the first lookup runs the quick-train
 /// pipeline, every later lookup for the same key returns the **same**
-/// `Arc`-shared bundle plus its frozen inference snapshot, so fleets and
-/// serve runs share one weight allocation per distinct model instead of
-/// retraining (or re-deserializing) per session.
+/// `Arc`-shared frozen model, so fleets and serve runs share one weight
+/// allocation per distinct model instead of retraining per session.
 ///
-/// The cache is LRU-bounded by bytes ([`ResourceEstimate`]
+/// The cache is LRU-bounded by weight bytes ([`ResourceEstimate`]
 /// currency): inserting past `capacity_bytes` evicts the
 /// least-recently-used entries, never the one just inserted. A cache hit
 /// whose trained architecture cannot serve the requesting spec — the
@@ -280,7 +191,6 @@ struct RegistryEntry {
 /// [`ResourceEstimate`]: super::resources::ResourceEstimate
 pub struct ModelRegistry {
     capacity_bytes: usize,
-    precision: Precision,
     clock: u64,
     entries: Vec<RegistryEntry>,
     hits: u64,
@@ -304,7 +214,6 @@ impl ModelRegistry {
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
             capacity_bytes,
-            precision: Precision::F32,
             clock: 0,
             entries: Vec::new(),
             hits: 0,
@@ -313,102 +222,20 @@ impl ModelRegistry {
         }
     }
 
-    /// Sets the weight-storage precision newly trained bundles freeze
-    /// into. `Bf16` halves resident weight bytes at an accuracy cost
-    /// gated by physics tolerance, not bit-identity — see the README's
-    /// precision contract.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
+    /// Gets (or trains) the frozen 1-D model every session for this spec
+    /// mints its solver from.
+    pub fn model_1d(&mut self, spec: &ScenarioSpec) -> Result<FrozenBundle, EngineError> {
+        self.get_or_train(spec, Backend::Dl1D, FrozenBundle::weight_bytes, || {
+            let frozen = quick_train_1d(spec.scale, spec.seed).freeze()?;
+            Ok((frozen.output_len(), frozen))
+        })
     }
 
-    /// Gets (or trains) the 1-D bundle for this spec, with the frozen
-    /// snapshot every session mints its solver from.
-    pub fn model_1d(
-        &mut self,
-        spec: &ScenarioSpec,
-    ) -> Result<(Arc<ModelBundle>, FrozenBundle), EngineError> {
-        let key = self.key_for(spec, false);
-        self.clock += 1;
-        if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
-            let (cells, want) = match &self.entries[idx].payload {
-                RegistryPayload::OneD { bundle, .. } => {
-                    (bundle.arch.output_len(), spec.domain.cells())
-                }
-                RegistryPayload::TwoD { .. } => unreachable!("1-D key holds a 2-D payload"),
-            };
-            if cells != want {
-                return Err(self.arch_mismatch(spec, Backend::Dl1D, cells, want));
-            }
-            self.hits += 1;
-            self.entries[idx].last_used = self.clock;
-            match &self.entries[idx].payload {
-                RegistryPayload::OneD { bundle, frozen } => {
-                    return Ok((Arc::clone(bundle), frozen.clone()))
-                }
-                RegistryPayload::TwoD { .. } => unreachable!(),
-            }
-        }
-        self.misses += 1;
-        let bundle = quick_train_1d(spec.scale, spec.seed).with_precision(self.precision);
-        let frozen = bundle.freeze()?;
-        let bundle = Arc::new(bundle);
-        let bytes = bundle.params.len() + frozen.weight_bytes();
-        self.entries.push(RegistryEntry {
-            key,
-            payload: RegistryPayload::OneD {
-                bundle: Arc::clone(&bundle),
-                frozen: frozen.clone(),
-            },
-            bytes,
-            last_used: self.clock,
-        });
-        self.evict_over_capacity();
-        Ok((bundle, frozen))
-    }
-
-    /// Gets (or trains) the 2-D model for this spec, with its frozen
-    /// snapshot.
-    pub fn model_2d(
-        &mut self,
-        spec: &ScenarioSpec,
-    ) -> Result<(Arc<Dl2DModel>, Frozen2DModel), EngineError> {
-        let key = self.key_for(spec, true);
-        self.clock += 1;
-        if let Some(idx) = self.entries.iter().position(|e| e.key == key) {
-            let (nodes, want) = match &self.entries[idx].payload {
-                RegistryPayload::TwoD { nodes, .. } => (*nodes, spec.domain.cells()),
-                RegistryPayload::OneD { .. } => unreachable!("2-D key holds a 1-D payload"),
-            };
-            if nodes != want {
-                return Err(self.arch_mismatch(spec, Backend::Dl2D, nodes, want));
-            }
-            self.hits += 1;
-            self.entries[idx].last_used = self.clock;
-            match &self.entries[idx].payload {
-                RegistryPayload::TwoD { model, frozen, .. } => {
-                    return Ok((Arc::clone(model), frozen.clone()))
-                }
-                RegistryPayload::OneD { .. } => unreachable!(),
-            }
-        }
-        self.misses += 1;
-        let nodes = spec.domain.cells();
-        let model = Arc::new(quick_train_2d(spec, spec.seed)?);
-        let frozen = model.freeze(&spec.grid_2d(), self.precision)?;
-        let bytes = model.params.len() + frozen.weight_bytes();
-        self.entries.push(RegistryEntry {
-            key,
-            payload: RegistryPayload::TwoD {
-                model: Arc::clone(&model),
-                frozen: frozen.clone(),
-                nodes,
-            },
-            bytes,
-            last_used: self.clock,
-        });
-        self.evict_over_capacity();
-        Ok((model, frozen))
+    /// Gets (or trains) the frozen 2-D model for this spec.
+    pub fn model_2d(&mut self, spec: &ScenarioSpec) -> Result<Frozen2DModel, EngineError> {
+        self.get_or_train(spec, Backend::Dl2D, Frozen2DModel::weight_bytes, || {
+            Ok((spec.domain.cells(), quick_train_2d(spec, spec.seed)?))
+        })
     }
 
     /// Drops every cached entry, returning how many were released.
@@ -433,31 +260,47 @@ impl ModelRegistry {
         }
     }
 
-    fn key_for(&self, spec: &ScenarioSpec, two_d: bool) -> RegistryKey {
-        RegistryKey {
-            two_d,
+    /// The one lookup body: a hit on this key and model type returns the
+    /// cached model if it serves the spec's field cells; a miss runs
+    /// `train` (which returns the cells the new model serves), caches the
+    /// result at its `weight_bytes` and evicts over capacity.
+    fn get_or_train<T: Clone + Send + 'static>(
+        &mut self,
+        spec: &ScenarioSpec,
+        backend: Backend,
+        weight_bytes: fn(&T) -> usize,
+        train: impl FnOnce() -> Result<(usize, T), EngineError>,
+    ) -> Result<T, EngineError> {
+        let key = RegistryKey {
             scenario: spec.name.clone(),
             scale: spec.scale,
             seed: spec.seed,
+        };
+        self.clock += 1;
+        let hit = self.entries.iter_mut().find_map(|e| {
+            let frozen = e.frozen.downcast_ref::<T>().filter(|_| e.key == key)?;
+            Some((frozen.clone(), e))
+        });
+        if let Some((frozen, entry)) = hit {
+            let want = spec.domain.cells();
+            if entry.cells != want {
+                return Err(arch_mismatch(spec, backend, entry.cells, want));
+            }
+            self.hits += 1;
+            entry.last_used = self.clock;
+            return Ok(frozen);
         }
-    }
-
-    fn arch_mismatch(
-        &self,
-        spec: &ScenarioSpec,
-        backend: Backend,
-        cached: usize,
-        want: usize,
-    ) -> EngineError {
-        EngineError::Incompatible {
-            scenario: spec.name.clone(),
-            backend: backend.name(),
-            why: format!(
-                "registry entry for this (scenario, scale, seed) was trained for {cached} \
-                 field cells but the requesting domain has {want}; prune the registry or \
-                 match the training grid"
-            ),
-        }
+        self.misses += 1;
+        let (cells, frozen) = train()?;
+        self.entries.push(RegistryEntry {
+            key,
+            frozen: Box::new(frozen.clone()),
+            cells,
+            bytes: weight_bytes(&frozen),
+            last_used: self.clock,
+        });
+        self.evict_over_capacity();
+        Ok(frozen)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -479,5 +322,17 @@ impl ModelRegistry {
             self.entries.remove(oldest);
             self.evictions += 1;
         }
+    }
+}
+
+fn arch_mismatch(spec: &ScenarioSpec, backend: Backend, cached: usize, want: usize) -> EngineError {
+    EngineError::Incompatible {
+        scenario: spec.name.clone(),
+        backend: backend.name(),
+        why: format!(
+            "registry entry for this (scenario, scale, seed) was trained for {cached} \
+             field cells but the requesting domain has {want}; prune the registry or \
+             match the training grid"
+        ),
     }
 }

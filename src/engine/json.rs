@@ -343,19 +343,27 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonEr
                             Some(b'b') => s.push('\u{8}'),
                             Some(b'f') => s.push('\u{c}'),
                             Some(b'u') => {
-                                if *pos + 4 >= bytes.len() {
-                                    return err("truncated \\u escape");
-                                }
-                                let hex = std::str::from_utf8(&bytes[*pos + 1..*pos + 5]).map_err(
-                                    |_| JsonError {
-                                        message: "bad \\u escape".into(),
-                                    },
-                                )?;
-                                let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                                    message: "bad \\u escape".into(),
-                                })?;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                                let Some(code) = hex4(bytes, *pos + 1) else {
+                                    return err("bad \\u escape");
+                                };
                                 *pos += 4;
+                                // A UTF-16 surrogate pair (what most encoders
+                                // send for a non-BMP char) is one char; a lone
+                                // surrogate becomes U+FFFD.
+                                let low = match bytes.get(*pos + 1..*pos + 3) {
+                                    Some(b"\\u") => hex4(bytes, *pos + 3),
+                                    _ => None,
+                                };
+                                let ch = match (code, low) {
+                                    (0xD800..=0xDBFF, Some(low @ 0xDC00..=0xDFFF)) => {
+                                        *pos += 6;
+                                        char::from_u32(
+                                            0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                                        )
+                                    }
+                                    _ => char::from_u32(code),
+                                };
+                                s.push(ch.unwrap_or('\u{fffd}'));
                             }
                             _ => return err("bad escape sequence"),
                         }
@@ -416,6 +424,15 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
     )
 }
 
+/// The four hex digits of a `\\u` escape starting at `at`, or `None`
+/// when any is missing or not a hex digit.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    bytes
+        .get(at..at + 4)?
+        .iter()
+        .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +482,38 @@ mod tests {
             "parsing {} bytes of non-ASCII text took {elapsed:?}",
             text.len()
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        // What Python's `json.dumps` sends for a non-BMP char.
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00 x""#).unwrap(),
+            Json::Str("😀 x".into())
+        );
+        // Lone halves, and a high half before a non-low escape, stay U+FFFD.
+        assert_eq!(
+            Json::parse(r#""\ud83d""#).unwrap(),
+            Json::Str("\u{fffd}".into())
+        );
+        assert_eq!(
+            Json::parse(r#""\ude00\ud83d""#).unwrap(),
+            Json::Str("\u{fffd}\u{fffd}".into())
+        );
+        assert_eq!(
+            Json::parse(r#""\ud83d\u0041""#).unwrap(),
+            Json::Str("\u{fffd}A".into())
+        );
+        let doc = Json::Str("tenant 😀𝄞".into());
+        assert_eq!(Json::parse(&doc.to_compact()).unwrap(), doc);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+        for bad in [r#""\u+041""#, r#""\u 041""#, r#""\u04""#, r#""\u004g""#] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! [`Ensemble`](super::Ensemble) fleets: a paper-scale DL session owns
 //! ~25 MB of MLP weights alone, so a thousand-session fleet is a
 //! ~25 GB commitment that should be rejected up front, not discovered
-//! by the OOM killer. Numbers are derived from the same backend × scale
-//! tables the builders use ([`Scale::mlp_arch`], [`hidden_2d`],
-//! the Vlasov velocity-grid table), so the estimate tracks the real
-//! allocation shape — it is a budget figure, accurate to the dominant
-//! buffers, not a byte-exact audit of every allocation.
+//! by the OOM killer. Numbers are derived from the same tables the
+//! builders use ([`default_arch`] for the network, the Vlasov
+//! velocity-grid table), so the estimate tracks the real allocation
+//! shape — it is a budget figure, accurate to the dominant buffers, not a
+//! byte-exact audit of every allocation.
 
 use super::backend::Backend;
-use super::dl::hidden_2d;
+use super::dl::default_arch;
 use super::spec::{Dim, ScenarioSpec};
-use crate::core::builder::ArchSpec;
 use crate::core::presets::Scale;
 
 /// Bytes per f64 diagnostic/field/particle lane.
@@ -55,32 +54,6 @@ impl ResourceEstimate {
     /// the solo admission figure.
     pub fn total(&self) -> usize {
         self.particle_bytes + self.grid_bytes + self.model_bytes + self.history_bytes
-    }
-
-    /// Bytes a session costs when its model weights are already resident
-    /// (a fleet member joining an existing cohort).
-    pub fn without_shared_weights(&self) -> usize {
-        self.total() - self.shared_weight_bytes
-    }
-}
-
-/// Parameter count of the DL architecture the engine would build for this
-/// spec × backend, or 0 for non-DL backends.
-fn model_params(spec: &ScenarioSpec, backend: Backend) -> usize {
-    match backend {
-        Backend::Dl1D => spec.scale.mlp_arch().param_count(),
-        Backend::Dl2D => {
-            // Mirrors `core::twod::arch_2d`: flat nodes in, 2 field
-            // components per node out.
-            let nodes = spec.domain.cells();
-            ArchSpec::Mlp {
-                input: nodes,
-                hidden: hidden_2d(spec.scale),
-                output: 2 * nodes,
-            }
-            .param_count()
-        }
-        _ => 0,
     }
 }
 
@@ -129,7 +102,8 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
     // phase-space deposit image the 1-D surrogate consumes. One of the
     // two weight-sized slices is the parameter allocation itself — the
     // slice an `Arc`-shared frozen model amortizes across a cohort.
-    let shared_weight_bytes = model_params(spec, backend) * F32;
+    let shared_weight_bytes =
+        default_arch(spec, backend).map_or(0, |arch| arch.param_count()) * F32;
     let model_bytes = match backend {
         Backend::Dl1D => {
             let phase = spec.scale.phase_spec();
@@ -149,26 +123,6 @@ pub fn estimate_session(spec: &ScenarioSpec, backend: Backend) -> ResourceEstima
         model_bytes,
         history_bytes,
         shared_weight_bytes,
-    }
-}
-
-/// The weight-sharing fingerprint of a spec × backend pairing under the
-/// default engine configuration: two admitted runs with equal
-/// fingerprints read one weight allocation, so a budget should charge
-/// [`ResourceEstimate::shared_weight_bytes`] once per distinct
-/// fingerprint. `None` for model-free backends (nothing shareable).
-/// Engines with an explicit model or a registry refine this via
-/// `Engine::weight_profile`; this free function covers the untrained
-/// fallback, whose weights are keyed by dimension and scale alone.
-pub fn weight_fingerprint(spec: &ScenarioSpec, backend: Backend) -> Option<String> {
-    match backend {
-        Backend::Dl1D => Some(format!("dl1d|untrained|{:?}", spec.scale)),
-        Backend::Dl2D => Some(format!(
-            "dl2d|untrained|{:?}|{}",
-            spec.scale,
-            spec.domain.cells()
-        )),
-        _ => None,
     }
 }
 
@@ -199,13 +153,6 @@ mod tests {
             est.shared_weight_bytes,
             spec.scale.mlp_arch().param_count() * 4
         );
-        assert_eq!(
-            est.without_shared_weights() + est.shared_weight_bytes,
-            est.total()
-        );
-        // Fingerprints exist exactly where there are weights to share.
-        assert!(weight_fingerprint(&spec, Backend::Dl1D).is_some());
-        assert!(weight_fingerprint(&spec, Backend::Traditional1D).is_none());
         assert_eq!(
             estimate_session(&spec, Backend::Traditional1D).shared_weight_bytes,
             0

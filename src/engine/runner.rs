@@ -11,7 +11,7 @@
 //! (models, numerics, observers) and solver construction.
 
 use super::backend::Backend;
-use super::dl::{self, Dl2DModel, SharedModelRegistry};
+use super::dl::{self, SharedModelRegistry};
 use super::ensemble::{Ensemble, SweepSpec};
 use super::error::EngineError;
 use super::fault::FaultPlan;
@@ -20,16 +20,14 @@ use super::session::{
     BackendSession, Checkpoint, DdecompSession, Pic1DSession, Pic2DSession, Session, VlasovSession,
 };
 use super::spec::ScenarioSpec;
-use crate::core::builder::ArchSpec;
 use crate::core::presets::Scale;
 use crate::core::twod::Frozen2DModel;
-use crate::core::{FrozenBundle, ModelBundle};
-use crate::nn::frozen::{FrozenModel, Precision};
-use crate::pic::solver::{FieldSolver, PoissonKind, TraditionalSolver};
+use crate::core::{BinningShape, FrozenBundle, ModelBundle, NormStats};
+use crate::nn::frozen::Precision;
+use crate::pic::solver::{PoissonKind, TraditionalSolver};
 use crate::pic::Shape;
-use crate::pic2d::solver2d::FieldSolver2D;
 use crate::pic2d::TraditionalSolver2D;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Numerical options of the 1-D particle backends that the paper's figure
 /// experiments vary; the scenario spec stays purely physical. Defaults
@@ -69,9 +67,9 @@ impl Numerics1D {
     }
 }
 
-/// The facade entry point: holds optional DL models and observers, builds
-/// [`Session`]s for any compatible scenario×backend pairing, and runs them
-/// to completion on request.
+/// The facade entry point: holds an optional 1-D model and observers,
+/// builds [`Session`]s for any compatible scenario×backend pairing, and
+/// runs them to completion on request.
 ///
 /// DL sessions built by one engine share weights: a configured model
 /// (MLP or CNN) is frozen once into an `Arc`-shared allocation and every
@@ -86,28 +84,39 @@ pub struct Engine {
     /// keeps a bundle whose parameters do not decode, so every session
     /// build re-raises the decode error as [`EngineError::Bundle`].
     model_1d: Option<Result<FrozenBundle, ModelBundle>>,
-    model_2d: Option<Dl2DModel>,
-    /// Lazily frozen snapshots of `model_2d`, keyed by grid node count
-    /// (one trained parameter set can only ever fit one grid, but the
-    /// key keeps lookups honest).
-    frozen_2d: Mutex<Vec<(usize, Frozen2DModel)>>,
-    /// Shared untrained 1-D weight allocations, keyed by scale.
-    untrained_1d: Mutex<FrozenCache<Scale>>,
-    /// Shared untrained 2-D weight allocations, keyed by (scale, nodes).
-    untrained_2d: Mutex<FrozenCache<(Scale, usize)>>,
+    /// Shared untrained 1-D fallback models, keyed by scale.
+    untrained_1d: Mutex<Vec<(Scale, FrozenBundle)>>,
+    /// Shared untrained 2-D fallback models, keyed by (scale, nodes).
+    untrained_2d: Mutex<Vec<((Scale, usize), Frozen2DModel)>>,
     registry: Option<SharedModelRegistry>,
     numerics_1d: Numerics1D,
     observers: Vec<Box<dyn Observer>>,
     faults: FaultPlan,
 }
 
-/// A tiny keyed cache of `Arc`-shared frozen weight allocations.
-type FrozenCache<K> = Vec<(K, Arc<FrozenModel>)>;
+/// Seeds the untrained fallback's weights, so every engine builds the
+/// same network.
+const UNTRAINED_SEED: u64 = 0xD15E;
 
 /// Locks tolerating poisoning: a panicked holder leaves a cache of
 /// immutable `Arc`s, which is still safe to read.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The cached value under `key`, made by `make` on first use.
+fn cached<K: PartialEq, V: Clone>(
+    cache: &Mutex<Vec<(K, V)>>,
+    key: K,
+    make: impl FnOnce() -> V,
+) -> V {
+    let mut cache = lock(cache);
+    if let Some((_, v)) = cache.iter().find(|(k, _)| *k == key) {
+        return v.clone();
+    }
+    let v = make();
+    cache.push((key, v.clone()));
+    v
 }
 
 impl Engine {
@@ -120,13 +129,6 @@ impl Engine {
     /// is frozen here, once — every session shares the allocation.
     pub fn with_model_1d(mut self, bundle: ModelBundle) -> Self {
         self.model_1d = Some(bundle.freeze().map_err(|_| bundle));
-        self
-    }
-
-    /// Uses this trained 2-D model for `Backend::Dl2D` runs.
-    pub fn with_model_2d(mut self, model: Dl2DModel) -> Self {
-        *lock(&self.frozen_2d) = Vec::new();
-        self.model_2d = Some(model);
         self
     }
 
@@ -182,15 +184,25 @@ impl Engine {
         // construction, matching the pre-session Engine::run.
         // analyze:allow(no-wallclock-in-engine): feeds only the wall_seconds diagnostic in RunSummary, never simulation state — checkpoints exclude it
         let started = std::time::Instant::now();
+        let n = &self.numerics_1d;
         let inner: Box<dyn BackendSession> = match backend {
-            Backend::Traditional1D | Backend::Dl1D => Box::new(Pic1DSession::new(
+            Backend::Traditional1D => Box::new(Pic1DSession::new(
                 spec,
-                self.build_1d_solver(spec, backend)?,
-                self.numerics_1d.gather_shape,
+                Box::new(TraditionalSolver::new(n.deposit_shape, n.poisson, 1.0)),
+                n.gather_shape,
             )),
-            Backend::Traditional2D | Backend::Dl2D => Box::new(Pic2DSession::new(
+            Backend::Dl1D => Box::new(Pic1DSession::new(
                 spec,
-                self.build_2d_solver(spec, backend)?,
+                Box::new(self.model_1d(spec)?.solver()),
+                n.gather_shape,
+            )),
+            Backend::Traditional2D => Box::new(Pic2DSession::new(
+                spec,
+                Box::new(TraditionalSolver2D::default_config()),
+            )),
+            Backend::Dl2D => Box::new(Pic2DSession::new(
+                spec,
+                Box::new(self.model_2d(spec)?.solver()),
             )),
             Backend::Vlasov => Box::new(VlasovSession::new(spec)),
             Backend::Ddecomp { n_ranks } => {
@@ -300,116 +312,67 @@ impl Engine {
                 // Undecodable: sessions fail to build; charge the nominal size.
                 Err(bundle) => bundle.arch.param_count() * 4,
             }),
-            model_2d_hidden: self.model_2d.as_ref().map(|m| m.hidden.clone()),
             has_registry: self.registry.is_some(),
         }
     }
 
-    fn build_1d_solver(
-        &self,
-        spec: &ScenarioSpec,
-        backend: Backend,
-    ) -> Result<Box<dyn FieldSolver>, EngineError> {
-        let n = &self.numerics_1d;
-        match backend {
-            Backend::Traditional1D => Ok(Box::new(TraditionalSolver::new(
-                n.deposit_shape,
-                n.poisson,
-                1.0,
-            ))),
-            Backend::Dl1D => {
-                let ncells = spec.domain.cells();
-                let output = match &self.model_1d {
-                    Some(Ok(frozen)) => frozen.output_len(),
-                    Some(Err(bundle)) => bundle.arch.output_len(),
-                    None => spec.scale.mlp_arch().output_len(),
-                };
-                if output != ncells {
-                    return Err(EngineError::Incompatible {
-                        scenario: spec.name.clone(),
-                        backend: backend.name(),
-                        why: format!(
-                            "DL solver predicts {output} cells but the domain has {ncells}"
-                        ),
-                    });
-                }
-                match &self.model_1d {
-                    // Explicit model: every session shares the one
-                    // allocation.
-                    Some(Ok(frozen)) => return Ok(Box::new(frozen.solver())),
-                    // Undecodable parameters: freezing again re-raises
-                    // the decode error.
-                    Some(Err(bundle)) => return Ok(Box::new(bundle.freeze()?.solver())),
-                    None => {}
-                }
-                if let Some(registry) = &self.registry {
-                    let (_, frozen) = lock(registry).model_1d(spec)?;
-                    return Ok(Box::new(frozen.solver()));
-                }
-                // Untrained fallback, shared per scale.
-                let model = {
-                    let mut cache = lock(&self.untrained_1d);
-                    match cache.iter().find(|(s, _)| *s == spec.scale) {
-                        Some((_, model)) => Arc::clone(model),
-                        None => {
-                            let model = dl::untrained_frozen_1d(spec.scale);
-                            cache.push((spec.scale, Arc::clone(&model)));
-                            model
-                        }
-                    }
-                };
-                Ok(Box::new(dl::untrained_1d_shared(spec.scale, model)))
-            }
-            _ => unreachable!("1-D solver for non-1-D backend"),
+    /// The frozen model a `Dl1D` session runs: the configured bundle,
+    /// else the registry's, else the shared untrained fallback.
+    fn model_1d(&self, spec: &ScenarioSpec) -> Result<FrozenBundle, EngineError> {
+        let arch = dl::default_arch(spec, Backend::Dl1D).expect("Dl1D has a default network");
+        let ncells = spec.domain.cells();
+        let output = match &self.model_1d {
+            Some(Ok(frozen)) => frozen.output_len(),
+            Some(Err(bundle)) => bundle.arch.output_len(),
+            None => arch.output_len(),
+        };
+        if output != ncells {
+            return Err(EngineError::Incompatible {
+                scenario: spec.name.clone(),
+                backend: Backend::Dl1D.name(),
+                why: format!("DL solver predicts {output} cells but the domain has {ncells}"),
+            });
+        }
+        match &self.model_1d {
+            Some(Ok(frozen)) => Ok(frozen.clone()),
+            // Undecodable parameters: freezing again re-raises the decode
+            // error.
+            Some(Err(bundle)) => Ok(bundle.freeze()?),
+            None => match &self.registry {
+                Some(registry) => lock(registry).model_1d(spec),
+                None => Ok(cached(&self.untrained_1d, spec.scale, || {
+                    FrozenBundle::from_network(
+                        &arch.build(UNTRAINED_SEED),
+                        &arch,
+                        spec.scale.phase_spec(),
+                        BinningShape::Ngp,
+                        NormStats::identity(),
+                        "dl-mlp-untrained",
+                        Precision::F32,
+                    )
+                })),
+            },
         }
     }
 
-    fn build_2d_solver(
-        &self,
-        spec: &ScenarioSpec,
-        backend: Backend,
-    ) -> Result<Box<dyn FieldSolver2D>, EngineError> {
-        match backend {
-            Backend::Traditional2D => Ok(Box::new(TraditionalSolver2D::default_config())),
-            Backend::Dl2D => {
-                let nodes = spec.domain.cells();
-                if let Some(model) = &self.model_2d {
-                    let cached = lock(&self.frozen_2d)
-                        .iter()
-                        .find(|(n, _)| *n == nodes)
-                        .map(|(_, f)| f.clone());
-                    let frozen = match cached {
-                        Some(frozen) => frozen,
-                        None => {
-                            // Freeze once per grid; `freeze` validates the
-                            // parameter shapes.
-                            let frozen = model.freeze(&spec.grid_2d(), Precision::F32)?;
-                            lock(&self.frozen_2d).push((nodes, frozen.clone()));
-                            frozen
-                        }
-                    };
-                    return Ok(Box::new(frozen.solver()));
-                }
-                if let Some(registry) = &self.registry {
-                    let (_, frozen) = lock(registry).model_2d(spec)?;
-                    return Ok(Box::new(frozen.solver()));
-                }
-                // Untrained fallback, shared per (scale, grid).
-                let model = {
-                    let mut cache = lock(&self.untrained_2d);
-                    match cache.iter().find(|(k, _)| *k == (spec.scale, nodes)) {
-                        Some((_, model)) => Arc::clone(model),
-                        None => {
-                            let model = dl::untrained_frozen_2d(spec.scale, &spec.grid_2d());
-                            cache.push(((spec.scale, nodes), Arc::clone(&model)));
-                            model
-                        }
-                    }
-                };
-                Ok(Box::new(dl::untrained_2d_shared(model)))
-            }
-            _ => unreachable!("2-D solver for non-2-D backend"),
+    /// The frozen model a `Dl2D` session runs: the registry's, else the
+    /// shared untrained fallback for this grid.
+    fn model_2d(&self, spec: &ScenarioSpec) -> Result<Frozen2DModel, EngineError> {
+        if let Some(registry) = &self.registry {
+            return lock(registry).model_2d(spec);
         }
+        let key = (spec.scale, spec.domain.cells());
+        Ok(cached(&self.untrained_2d, key, || {
+            let arch = dl::default_arch(spec, Backend::Dl2D).expect("Dl2D has a default network");
+            Frozen2DModel::from_network(
+                &arch.build(UNTRAINED_SEED),
+                BinningShape::Ngp,
+                NormStats::identity(),
+                0.0,
+                "dl-2d-mlp-untrained",
+                Precision::F32,
+            )
+        }))
     }
 }
 
@@ -420,7 +383,6 @@ impl Engine {
 #[derive(Debug, Clone)]
 pub struct WeightProfiler {
     model_1d_bytes: Option<usize>,
-    model_2d_hidden: Option<Vec<usize>>,
     has_registry: bool,
 }
 
@@ -428,47 +390,32 @@ impl WeightProfiler {
     /// See [`Engine::weight_profile`] for the `Some((fingerprint,
     /// bytes))` contract.
     pub fn profile(&self, spec: &ScenarioSpec, backend: Backend) -> Option<(String, usize)> {
-        match backend {
+        let bytes = dl::default_arch(spec, backend)?.param_count() * 4;
+        let key = match backend {
             Backend::Dl1D => {
                 if let Some(bytes) = self.model_1d_bytes {
-                    Some(("dl1d|model".to_string(), bytes))
+                    return Some(("dl1d|model".to_string(), bytes));
+                }
+                if self.has_registry {
+                    format!("dl1d|reg|{}|{:?}|{}", spec.name, spec.scale, spec.seed)
                 } else {
-                    let bytes = spec.scale.mlp_arch().param_count() * 4;
-                    let key = if self.has_registry {
-                        format!("dl1d|reg|{}|{:?}|{}", spec.name, spec.scale, spec.seed)
-                    } else {
-                        format!("dl1d|untrained|{:?}", spec.scale)
-                    };
-                    Some((key, bytes))
+                    format!("dl1d|untrained|{:?}", spec.scale)
                 }
             }
-            Backend::Dl2D => {
+            // `Dl2D`, the only other backend with a network.
+            _ => {
                 let nodes = spec.domain.cells();
-                let hidden = match &self.model_2d_hidden {
-                    Some(hidden) => hidden.clone(),
-                    None => dl::hidden_2d(spec.scale),
-                };
-                let bytes = ArchSpec::Mlp {
-                    input: nodes,
-                    hidden,
-                    output: 2 * nodes,
-                }
-                .param_count()
-                    * 4;
-                let key = if self.model_2d_hidden.is_some() {
-                    "dl2d|model".to_string()
-                } else if self.has_registry {
+                if self.has_registry {
                     format!(
                         "dl2d|reg|{}|{:?}|{}|{}",
                         spec.name, spec.scale, spec.seed, nodes
                     )
                 } else {
                     format!("dl2d|untrained|{:?}|{}", spec.scale, nodes)
-                };
-                Some((key, bytes))
+                }
             }
-            _ => None,
-        }
+        };
+        Some((key, bytes))
     }
 }
 

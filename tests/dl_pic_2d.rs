@@ -5,7 +5,8 @@
 
 use dlpic_repro::analytics::dispersion::TwoStreamDispersion;
 use dlpic_repro::analytics::fit::{fit_growth_rate, GrowthFitOptions};
-use dlpic_repro::core::twod::{harvest_2d, train_2d_solver, DensityBinning, Train2DConfig};
+use dlpic_repro::core::twod::{harvest_2d, train_2d_model, Train2DConfig};
+use dlpic_repro::core::BinningShape;
 use dlpic_repro::pic::shape::Shape;
 use dlpic_repro::pic2d::grid2d::Grid2D;
 use dlpic_repro::pic2d::init2d::TwoStream2DInit;
@@ -36,7 +37,7 @@ fn trained_2d_solver_reproduces_two_stream_growth() {
     for seed in [1, 2, 3] {
         samples.extend(harvest_2d(
             config(0.2, 0.0, 160, seed),
-            DensityBinning::Cic,
+            BinningShape::Cic,
             1,
         ));
     }
@@ -48,12 +49,12 @@ fn trained_2d_solver_reproduces_two_stream_growth() {
         seed: 7,
     };
     let g = grid();
-    let (solver, history) = train_2d_solver(&g, &samples, DensityBinning::Cic, &tc);
+    let (model, history) = train_2d_model(&g, &samples, BinningShape::Cic, &tc);
     let final_loss = history.final_loss().unwrap();
     assert!(final_loss.is_finite() && final_loss > 0.0);
 
     // Evaluate in the loop on an unseen seed.
-    let mut dl = Simulation2D::new(config(0.2, 0.0, 160, 99), Box::new(solver));
+    let mut dl = Simulation2D::new(config(0.2, 0.0, 160, 99), Box::new(model.solver()));
     dl.run();
     let h = dl.history();
     assert!(
@@ -83,7 +84,7 @@ fn dl_2d_field_error_is_small_against_traditional() {
     for seed in [5, 6] {
         samples.extend(harvest_2d(
             config(0.2, 0.0, 120, seed),
-            DensityBinning::Cic,
+            BinningShape::Cic,
             1,
         ));
     }
@@ -95,7 +96,9 @@ fn dl_2d_field_error_is_small_against_traditional() {
         batch_size: 32,
         seed: 3,
     };
-    let (mut solver, _) = train_2d_solver(&g, &samples, DensityBinning::Cic, &tc);
+    let mut solver = train_2d_model(&g, &samples, BinningShape::Cic, &tc)
+        .0
+        .solver();
 
     // Drive a traditional run and query both solvers on the same states.
     let mut sim = Simulation2D::new(

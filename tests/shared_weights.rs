@@ -13,6 +13,8 @@
 //!   structured error naming both shapes, LRU-evicts by bytes and
 //!   releases everything on `prune` — for 2-D models too, where the
 //!   mismatch error names both node counts;
+//! * the weight accounting (profile, storage, estimate, registry bytes)
+//!   agrees for every model source and DL dimension;
 //! * bf16 weight storage is an accuracy contract, not a bit-identity one:
 //!   the two-stream growth rate stays within tolerance of f32 and the
 //!   bf16 run itself is bit-exactly deterministic across repeats.
@@ -25,6 +27,7 @@ use dlpic_repro::engine::{
     self, dl, Backend, DomainSpec, EnergyHistory, Engine, EngineError, ModelRegistry,
 };
 use dlpic_repro::nn::Precision;
+use dlpic_repro::pic::solver::FieldSolver as _;
 
 /// One quick-trained smoke bundle shared by every test in this file:
 /// training dominates debug-mode runtime, so pay for it once.
@@ -368,11 +371,9 @@ fn registry_lru_evicts_by_bytes_and_prune_releases_everything() {
     let mut spec_b = spec_a.clone();
     spec_b.seed = 2;
 
-    let (bundle_a, frozen_a) = reg.model_1d(&spec_a).expect("train a");
-    assert!(
-        frozen_a.weight_bytes() > 0,
-        "the registry freezes what it trains"
-    );
+    let frozen_a = reg.model_1d(&spec_a).expect("train a");
+    let (id_a, bytes_a) = frozen_a.solver().weight_storage().expect("weights");
+    assert!(bytes_a > 0, "the registry freezes what it trains");
     let stats = reg.stats();
     assert_eq!((stats.misses, stats.entries, stats.evictions), (1, 1, 0));
     assert!(
@@ -380,25 +381,98 @@ fn registry_lru_evicts_by_bytes_and_prune_releases_everything() {
         "a lone over-budget entry stays resident rather than thrashing"
     );
 
-    // Same key again: a hit, same Arc, no retraining.
-    let (bundle_a2, _) = reg.model_1d(&spec_a).expect("hit a");
-    assert!(Arc::ptr_eq(&bundle_a, &bundle_a2));
+    // Same key again: a hit, same allocation, no retraining.
+    let hit_a = reg.model_1d(&spec_a).expect("hit a");
+    assert_eq!(hit_a.solver().weight_storage(), Some((id_a, bytes_a)));
     assert_eq!(reg.stats().hits, 1);
 
     // New key: trains, then LRU pressure evicts the older entry.
-    let (bundle_b, _) = reg.model_1d(&spec_b).expect("train b");
-    assert!(!Arc::ptr_eq(&bundle_a, &bundle_b));
+    let frozen_b = reg.model_1d(&spec_b).expect("train b");
+    let (id_b, _) = frozen_b.solver().weight_storage().expect("weights");
+    assert_ne!(id_a, id_b, "a new key must train its own model");
     let stats = reg.stats();
     assert_eq!((stats.misses, stats.entries, stats.evictions), (2, 1, 1));
 
-    // Eviction released the registry's pin, not the caller's handle.
-    assert!(Arc::strong_count(&bundle_a) >= 1);
+    // Eviction released the registry's pin, not the caller's handle:
+    // solvers minted from the evicted model still read its allocation.
+    assert_eq!(frozen_a.solver().weight_storage(), Some((id_a, bytes_a)));
 
     let released = reg.prune();
     assert_eq!(released, 1);
     let stats = reg.stats();
     assert_eq!((stats.entries, stats.bytes), (0, 0));
     assert_eq!(stats.evictions, 2);
+}
+
+#[test]
+fn weight_accounting_matches_the_built_sessions_for_every_model_source() {
+    // The accounting serve's budget admission keys on, for each model
+    // source (explicit 1-D bundle, registry, untrained fallback) and DL
+    // dimension: the profile's bytes are what the built session stores,
+    // equal fingerprints read one allocation, the estimate's shared slice
+    // is the same figure, and the registry pins exactly one frozen copy
+    // per model.
+    let reg = engine::shared_registry(1 << 30);
+    let both = vec![Backend::Dl1D, Backend::Dl2D];
+    let sources = [
+        (
+            "bundle",
+            Engine::new().with_model_1d(trained_smoke_bundle().clone()),
+            vec![Backend::Dl1D],
+        ),
+        (
+            "registry",
+            Engine::new().with_registry(Arc::clone(&reg)),
+            both.clone(),
+        ),
+        ("untrained", Engine::new(), both),
+    ];
+    let mut registry_bytes = 0;
+    for (source, engine, backends) in &sources {
+        for &backend in backends {
+            let scenario = match backend {
+                Backend::Dl1D => "two_stream",
+                _ => "two_stream_2d",
+            };
+            let spec = engine::scenario(scenario, Scale::Smoke).expect("registry");
+            // Another run of the same model: step count and particle load
+            // are in no fingerprint.
+            let mut other = spec.clone();
+            other.n_steps += 10;
+            other.ppc *= 2;
+            let (key, bytes) = engine
+                .weight_profile(&spec, backend)
+                .expect("DL backends carry weights");
+            let (other_key, _) = engine.weight_profile(&other, backend).expect("weights");
+            assert_eq!(key, other_key, "{source} {backend:?}: fingerprints");
+
+            let first = engine.start(&spec, backend).expect("first session");
+            let second = engine.start(&other, backend).expect("second session");
+            let (id, stored) = first.weight_storage().expect("DL session stores weights");
+            assert_eq!(
+                bytes, stored,
+                "{source} {backend:?}: profiled vs stored bytes"
+            );
+            assert_eq!(
+                second.weight_storage(),
+                Some((id, stored)),
+                "{source} {backend:?}: equal fingerprints must share one allocation"
+            );
+            if *source != "bundle" {
+                assert_eq!(
+                    engine::estimate_session(&spec, backend).shared_weight_bytes,
+                    bytes,
+                    "{source} {backend:?}: estimate vs profile"
+                );
+            }
+            if *source == "registry" {
+                registry_bytes += stored;
+                let stats = reg.lock().unwrap().stats();
+                assert_eq!(stats.bytes, registry_bytes, "{backend:?}: registry pins");
+            }
+        }
+    }
+    assert_eq!(reg.lock().unwrap().stats().misses, 2);
 }
 
 #[test]
